@@ -120,14 +120,16 @@ let check_summary ?(file = "kir") ~device ~split ~where ~grid ~total
         if br.Kir.br_stores > 0. then
           emit ~weight:(100. +. br.Kir.br_ops)
             (Finding.v Finding.Divergent_branch Finding.Warning ~file ~where
-               "divergent branch %s around the dominant store (%.1f \
-                ops, %.2f stores per thread in the region)"
-               br.Kir.br_site br.Kir.br_ops br.Kir.br_stores)
+               "divergent branch if (%s) around the dominant store \
+                (%.1f ops, %.2f stores per thread in the region)"
+               (Kir_c.expr_text br.Kir.br_cond)
+               br.Kir.br_ops br.Kir.br_stores)
         else if br.Kir.br_ops > 0. then
           emit ~weight:br.Kir.br_ops
             (Finding.v Finding.Divergent_branch Finding.Note ~file ~where
-               "divergent branch %s (%.1f ops per thread serialised)"
-               br.Kir.br_site br.Kir.br_ops))
+               "divergent branch if (%s) (%.1f ops per thread serialised)"
+               (Kir_c.expr_text br.Kir.br_cond)
+               br.Kir.br_ops))
     s.Kir.as_branches;
   if s.Kir.as_stranded_lanes > 0 then begin
     let warps = (total + s.Kir.as_warp_size - 1) / s.Kir.as_warp_size in

@@ -1,208 +1,88 @@
 open Gpu
 
-let binop_is_call = function Kir.Min | Kir.Max -> true | _ -> false
+let dialect =
+  {
+    Kir_c.emitter = "Cuda.Emit";
+    qualifier = "__global__ void";
+    param =
+      (fun _ (p : Kir.param) ->
+        match p.Kir.kind with
+        | Kir.Scalar -> Printf.sprintf "int %s" p.Kir.pname
+        | Kir.In_buffer -> Printf.sprintf "const int *%s" p.Kir.pname
+        | Kir.Out_buffer -> Printf.sprintf "int *%s" p.Kir.pname);
+    extra_params = [];
+    param_sep = ", ";
+    per_axis = true;
+    linear =
+      {
+        Kir_c.global_id = Some "blockIdx.x * blockDim.x + threadIdx.x";
+        suffix = "";
+        var = "iGID";
+      };
+  }
 
-let binop_text = function
-  | Kir.Add -> "+"
-  | Kir.Sub -> "-"
-  | Kir.Mul -> "*"
-  | Kir.Div -> "/"
-  | Kir.Mod -> "%"
-  | Kir.Min -> "min"
-  | Kir.Max -> "max"
-  | Kir.Lt -> "<"
-  | Kir.Le -> "<="
-  | Kir.Gt -> ">"
-  | Kir.Ge -> ">="
-  | Kir.Eq -> "=="
-  | Kir.Ne -> "!="
-  | Kir.And -> "&&"
-  | Kir.Or -> "||"
+let kernel ~grid k = Kir_c.kernel dialect ~grid k
 
-let rec expr buf = function
-  | Kir.Int n ->
-      if n < 0 then Printf.bprintf buf "(%d)" n
-      else Printf.bprintf buf "%d" n
-  | Kir.Gid d -> Printf.bprintf buf "gid%d" d
-  | Kir.Param p -> Stdlib.Buffer.add_string buf p
-  | Kir.Var v -> Stdlib.Buffer.add_string buf v
-  | Kir.Read (b, i) ->
-      Printf.bprintf buf "%s[" b;
-      expr buf i;
-      Stdlib.Buffer.add_char buf ']'
-  | Kir.Bin (op, a, b) when binop_is_call op ->
-      Printf.bprintf buf "%s(" (binop_text op);
-      expr buf a;
-      Stdlib.Buffer.add_string buf ", ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Bin (op, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf a;
-      Printf.bprintf buf " %s " (binop_text op);
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Select (c, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf c;
-      Stdlib.Buffer.add_string buf " ? ";
-      expr buf a;
-      Stdlib.Buffer.add_string buf " : ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
-  match s with
-  | Kir.Let (v, e) ->
-      Printf.bprintf buf "%sint %s = " pad v;
-      expr buf e;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.Store (b, i, v) ->
-      Printf.bprintf buf "%s%s[" pad b;
-      expr buf i;
-      Stdlib.Buffer.add_string buf "] = ";
-      expr buf v;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.If (c, t, e) ->
-      Printf.bprintf buf "%sif (" pad;
-      expr buf c;
-      Stdlib.Buffer.add_string buf ") {\n";
-      List.iter (stmt buf (indent + 4)) t;
-      if e <> [] then begin
-        Printf.bprintf buf "%s} else {\n" pad;
-        List.iter (stmt buf (indent + 4)) e
-      end;
-      Printf.bprintf buf "%s}\n" pad
-  | Kir.For { var; lo; hi; body } ->
-      Printf.bprintf buf "%sfor (int %s = " pad var;
-      expr buf lo;
-      Printf.bprintf buf "; %s < " var;
-      expr buf hi;
-      Printf.bprintf buf "; %s++) {\n" var;
-      List.iter (stmt buf (indent + 4)) body;
-      Printf.bprintf buf "%s}\n" pad
-
-let param_text (p : Kir.param) =
-  match p.kind with
-  | Kir.Scalar -> Printf.sprintf "int %s" p.pname
-  | Kir.In_buffer -> Printf.sprintf "const int *%s" p.pname
-  | Kir.Out_buffer -> Printf.sprintf "int *%s" p.pname
-
-(* Row-major grids: dimension (rank-1) is the fastest-varying and maps
-   to CUDA x, (rank-2) to y, (rank-3) to z. *)
-let cuda_axis rank d =
-  match rank - 1 - d with
-  | 0 -> "x"
-  | 1 -> "y"
-  | 2 -> "z"
-  | _ -> invalid_arg "Cuda.Emit: grids of rank > 3 are not supported"
-
-let kernel ~grid (k : Kir.t) =
-  let rank = Ndarray.Shape.rank grid in
-  if rank <> k.Kir.grid_rank then invalid_arg "Cuda.Emit.kernel: grid rank";
-  let buf = Stdlib.Buffer.create 512 in
-  Printf.bprintf buf "__global__ void %s(%s)\n{\n" k.Kir.kname
-    (String.concat ", " (List.map param_text k.Kir.params));
-  for d = 0 to rank - 1 do
-    let a = cuda_axis rank d in
-    Printf.bprintf buf
-      "    int gid%d = blockIdx.%s * blockDim.%s + threadIdx.%s;\n" d a a a
-  done;
-  if rank > 0 then begin
-    let guards =
-      List.init rank (fun d -> Printf.sprintf "gid%d >= %d" d grid.(d))
-    in
-    Printf.bprintf buf "    if (%s) return;\n" (String.concat " || " guards)
-  end;
-  List.iter (stmt buf 4) k.Kir.body;
-  Stdlib.Buffer.add_string buf "}\n";
-  Stdlib.Buffer.contents buf
-
-type host_step =
-  | Comment of string
-  | Alloc of { dst : string; len : int }
-  | Memcpy_h2d of { dst : string; src : string; len : int }
-  | Memcpy_d2h of { dst : string; src : string; len : int }
-  | Launch of {
-      kernel : Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Host_code of string
-  | Free of { name : string }
-
-let block_for_rank rank =
-  (* 256 threads per block, shaped to the grid rank: the configuration
-     the SAC backend derives from generator bounds. *)
-  match rank with
-  | 1 -> (256, 1, 1)
-  | 2 -> (32, 8, 1)
-  | _ -> (16, 4, 4)
-
-let launch_text buf (k : Kir.t) grid args =
-  let rank = Ndarray.Shape.rank grid in
-  let bx, by, bz = block_for_rank rank in
-  let extent d = if d < rank then grid.(rank - 1 - d) else 1 in
-  let ceil_div a b = (a + b - 1) / b in
-  Printf.bprintf buf "    {\n";
-  Printf.bprintf buf "        dim3 block(%d, %d, %d);\n" bx by bz;
-  Printf.bprintf buf "        dim3 grid(%d, %d, %d);\n"
-    (ceil_div (extent 0) bx)
-    (ceil_div (extent 1) by)
-    (ceil_div (extent 2) bz);
-  let actuals =
-    List.map
-      (fun (p : Kir.param) ->
-        match List.assoc_opt p.Kir.pname args with
-        | Some a -> a
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Cuda.Emit: missing actual for %s" p.Kir.pname))
-      k.Kir.params
+(* 256 threads per block, shaped to the launch rank: the configuration
+   the SAC backend derives from generator bounds.  Grids without
+   per-axis ids launch 1-D over the linearised grid. *)
+let launch_text _ (k : Kir.t) ~grid actuals =
+  let grid =
+    if Kir_c.uses_per_axis dialect (Ndarray.Shape.rank grid) then grid
+    else [| Ndarray.Shape.size grid |]
   in
-  Printf.bprintf buf "        %s<<<grid, block>>>(%s);\n" k.Kir.kname
-    (String.concat ", " actuals);
-  Printf.bprintf buf "    }\n"
+  let block =
+    match Ndarray.Shape.rank grid with
+    | 1 -> Runtime.dim3 256
+    | 2 -> Runtime.dim3 ~y:8 32
+    | _ -> Runtime.dim3 ~y:4 ~z:4 16
+  in
+  let blocks = Runtime.blocks_for ~grid ~block in
+  Printf.sprintf
+    "    {\n\
+    \        dim3 block(%d, %d, %d);\n\
+    \        dim3 grid(%d, %d, %d);\n\
+    \        %s<<<grid, block>>>(%s);\n\
+    \    }\n"
+    block.x block.y block.z blocks.x blocks.y blocks.z k.Kir.kname
+    (String.concat ", " (List.map snd actuals))
+
+let host_api =
+  {
+    Kir_c.alloc =
+      (fun ~dst len ->
+        Printf.sprintf
+          "    int *%s;\n    cudaMalloc((void **)&%s, %d * sizeof(int));\n" dst
+          dst len);
+    upload =
+      (fun ~dst ~src len ->
+        Printf.sprintf
+          "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
+           cudaMemcpyHostToDevice);\n"
+          dst src len);
+    download =
+      (fun ~dst ~src len ->
+        Printf.sprintf
+          "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
+           cudaMemcpyDeviceToHost);\n"
+          dst src len);
+    launch = launch_text;
+    free = Printf.sprintf "    cudaFree(%s);\n";
+  }
 
 let program ~name ~kernels ~steps =
-  let buf = Stdlib.Buffer.create 4096 in
-  Printf.bprintf buf
-    "/* %s.cu -- generated by the sac2cuda backend (simulated).\n\
-    \ * One __global__ kernel per WITH-loop generator; data transfers\n\
-    \ * correspond to the host2device/device2host instructions inserted\n\
-    \ * around CUDA-WITH-loops. */\n\
-     #include <cuda_runtime.h>\n\
-     #include <stdio.h>\n\
-     #include <stdlib.h>\n\n"
-    name;
-  List.iter
-    (fun (k, grid) ->
-      Stdlib.Buffer.add_string buf (kernel ~grid k);
-      Stdlib.Buffer.add_char buf '\n')
-    kernels;
-  Printf.bprintf buf "int main(void)\n{\n";
-  List.iter
-    (fun step ->
-      match step with
-      | Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | Alloc { dst; len } ->
-          Printf.bprintf buf "    int *%s;\n" dst;
-          Printf.bprintf buf
-            "    cudaMalloc((void **)&%s, %d * sizeof(int));\n" dst len
-      | Memcpy_h2d { dst; src; len } ->
-          Printf.bprintf buf
-            "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
-             cudaMemcpyHostToDevice);\n"
-            dst src len
-      | Memcpy_d2h { dst; src; len } ->
-          Printf.bprintf buf
-            "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
-             cudaMemcpyDeviceToHost);\n"
-            dst src len
-      | Launch { kernel; grid; args } -> launch_text buf kernel grid args
-      | Host_code c -> Printf.bprintf buf "%s\n" c
-      | Free { name } -> Printf.bprintf buf "    cudaFree(%s);\n" name)
-    steps;
-  Printf.bprintf buf "    cudaDeviceSynchronize();\n    return 0;\n}\n";
-  Stdlib.Buffer.contents buf
+  let header =
+    Printf.sprintf
+      "/* %s.cu -- generated by the sac2cuda backend (simulated).\n\
+      \ * One __global__ kernel per WITH-loop generator; data transfers\n\
+      \ * correspond to the host2device/device2host instructions inserted\n\
+      \ * around CUDA-WITH-loops. */\n\
+       #include <cuda_runtime.h>\n\
+       #include <stdio.h>\n\
+       #include <stdlib.h>\n\n"
+      name
+  in
+  Kir_c.host_program dialect host_api
+    ~prologue:
+      (Kir_c.translation_unit dialect ~header kernels ^ "int main(void)\n{\n")
+    ~epilogue:"    cudaDeviceSynchronize();\n    return 0;\n}\n" steps

@@ -3,33 +3,24 @@
     The SAC compiler's CUDA backend (Section VII) emits one [__global__]
     function per WITH-loop generator plus a host program carrying the
     [host2device]/[device2host] transfers and kernel invocations.  This
-    module renders both as compilable-looking CUDA C text (the
-    simulator executes the same IR; the text is the artefact a user
-    would inspect or port to a real device). *)
+    module is the CUDA dialect of {!Gpu.Kir_c} and the CUDA runtime
+    text of its host steps (the simulator executes the same IR; the
+    text is the artefact a user would inspect or port to a real
+    device). *)
 
 val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
-(** One [__global__] function.  The grid supplies the literal bounds of
-    the guard ([if (gid >= extent) return;]) exactly as the SAC
-    backend derives kernel configurations "from the generator bounds". *)
-
-(** Host-side steps of the generated program, in order. *)
-type host_step =
-  | Comment of string
-  | Alloc of { dst : string; len : int }
-  | Memcpy_h2d of { dst : string; src : string; len : int }
-  | Memcpy_d2h of { dst : string; src : string; len : int }
-  | Launch of {
-      kernel : Gpu.Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;  (** parameter -> C argument text *)
-    }
-  | Host_code of string  (** verbatim host C (e.g. a host-side tiler loop) *)
-  | Free of { name : string }
+(** One [__global__] function.  Grids of rank 1–3 map their axes to
+    [blockIdx]/[threadIdx] x, y, z with a per-axis guard
+    ([if (gid0 >= extent || ...) return;]); every other rank (0 or
+    above 3) uses one linearised, guarded id decomposed with [%]/[/]
+    chains, as the OpenCL and Metal kernels do. *)
 
 val program :
   name:string ->
   kernels:(Gpu.Kir.t * Ndarray.Shape.t) list ->
-  steps:host_step list ->
+  steps:Gpu.Kir_c.host_step list ->
   string
 (** A full [.cu] translation unit: kernels followed by a [main] that
-    performs [steps] with CUDA runtime calls. *)
+    performs [steps] with CUDA runtime calls.  Launches of per-axis
+    grids use 256-thread blocks shaped to the rank; launches of
+    linearised grids use [block(256, 1, 1)] over the grid size. *)

@@ -492,7 +492,7 @@ type buffer_access = {
 }
 
 type branch_summary = {
-  br_site : string;  (** rendered condition of the [If] *)
+  br_cond : expr;  (** condition of the [If] *)
   br_divergent : bool;
       (** some sampled warp's lanes took different decision sequences *)
   br_ops : float;  (** mean ops per thread inside the branch region *)
@@ -678,71 +678,6 @@ let profile_threads kernel ~args ~grid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Debug printing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let binop_symbol = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | Mod -> "%"
-  | Min -> "min"
-  | Max -> "max"
-  | Lt -> "<"
-  | Le -> "<="
-  | Gt -> ">"
-  | Ge -> ">="
-  | Eq -> "=="
-  | Ne -> "!="
-  | And -> "&&"
-  | Or -> "||"
-
-let rec pp_expr ppf = function
-  | Int n -> Format.pp_print_int ppf n
-  | Gid d -> Format.fprintf ppf "gid%d" d
-  | Param p -> Format.pp_print_string ppf p
-  | Var v -> Format.pp_print_string ppf v
-  | Read (b, i) -> Format.fprintf ppf "%s[%a]" b pp_expr i
-  | Bin ((Min | Max) as op, a, b) ->
-      Format.fprintf ppf "%s(%a, %a)" (binop_symbol op) pp_expr a pp_expr b
-  | Bin (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_symbol op) pp_expr b
-  | Select (c, a, b) ->
-      Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
-
-let rec pp_stmt ppf = function
-  | Let (v, e) -> Format.fprintf ppf "int %s = %a;" v pp_expr e
-  | Store (b, i, v) ->
-      Format.fprintf ppf "%s[%a] = %a;" b pp_expr i pp_expr v
-  | If (c, t, []) ->
-      Format.fprintf ppf "@[<v 2>if (%a) {@ %a@]@ }" pp_expr c pp_stmts t
-  | If (c, t, e) ->
-      Format.fprintf ppf "@[<v 2>if (%a) {@ %a@]@ @[<v 2>} else {@ %a@]@ }"
-        pp_expr c pp_stmts t pp_stmts e
-  | For { var; lo; hi; body } ->
-      Format.fprintf ppf
-        "@[<v 2>for (int %s = %a; %s < %a; %s++) {@ %a@]@ }" var pp_expr lo
-        var pp_expr hi var pp_stmts body
-
-and pp_stmts ppf stmts =
-  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_stmt ppf stmts
-
-let pp ppf k =
-  let pp_param ppf p =
-    match p.kind with
-    | Scalar -> Format.fprintf ppf "int %s" p.pname
-    | In_buffer -> Format.fprintf ppf "const int *%s" p.pname
-    | Out_buffer -> Format.fprintf ppf "int *%s" p.pname
-  in
-  Format.fprintf ppf "@[<v 2>kernel %s(%a) /* grid rank %d */ {@ %a@]@ }"
-    k.kname
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_param)
-    k.params k.grid_rank pp_stmts k.body
-
-(* ------------------------------------------------------------------ *)
 (* Static (data-free) cost derivation                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -779,7 +714,7 @@ let annotate body =
     | If (c, t, e) ->
         let id = !next in
         incr next;
-        sites := (id, Format.asprintf "if (%a)" pp_expr c) :: !sites;
+        sites := (id, c) :: !sites;
         (* Children annotated after the parent: program order. *)
         S_if (id, c, stmts t, stmts e)
     | For { var; lo; hi; body } -> S_for (var, lo, hi, stmts body)
@@ -1108,9 +1043,9 @@ let static_cost ?(scalars = []) kernel ~grid =
             let lanes_f = float_of_int (max 1 !lane_count) in
             let branches =
               List.map
-                (fun (id, label) ->
+                (fun (id, cond) ->
                   {
-                    br_site = label;
+                    br_cond = cond;
                     br_divergent = site_div.(id);
                     br_ops = float_of_int site_ops_sum.(id) /. lanes_f;
                     br_stores = float_of_int site_stores_sum.(id) /. lanes_f;

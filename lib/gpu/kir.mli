@@ -11,8 +11,8 @@
       (bit-exact) execution on the simulator;
     - {!profile_threads} interprets sampled threads with instrumented
       reads/writes to drive the analytic timing model;
-    - the [Cuda.Emit] and [Opencl.Emit] printers render it as CUDA C
-      and OpenCL C source text. *)
+    - the {!Kir_c} printer renders it as CUDA C, OpenCL C and Metal
+      Shading Language source text, one dialect record per target. *)
 
 type binop =
   | Add
@@ -146,7 +146,7 @@ type buffer_access = {
 
 (** Per-[If] divergence summary. *)
 type branch_summary = {
-  br_site : string;  (** rendered branch condition *)
+  br_cond : expr;  (** the branch condition *)
   br_divergent : bool;
       (** some sampled warp's lanes took different decision sequences *)
   br_ops : float;  (** mean ops per thread inside the branch region *)
@@ -218,7 +218,3 @@ val classify_addrs : int list -> [ `Row | `Column | `Gather ]
 val burst_of_addrs : int list -> float
 (** Mean length of maximal consecutive-address runs of a read trace
     (most recent first). *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer (C-like pseudocode; the real emitters live in the
-    [cuda] and [opencl] libraries). *)

@@ -194,10 +194,16 @@ let render (g : generated) =
   in
   let host_steps =
     let buf_of inst port = "d_" ^ sanitize inst ^ "_" ^ sanitize port in
-    let source_buffer ep =
-      match ep with
-      | Arrayol.Model.Boundary p -> "d_in_" ^ sanitize p
-      | Arrayol.Model.Part (inst, p) -> buf_of inst p
+    (* The device buffer a connection carries into an endpoint. *)
+    let feeder ep =
+      List.find_map
+        (fun (c : Arrayol.Model.connection) ->
+          if c.Arrayol.Model.cto <> ep then None
+          else
+            match c.Arrayol.Model.cfrom with
+            | Arrayol.Model.Boundary p -> Some ("d_in_" ^ sanitize p)
+            | Arrayol.Model.Part (inst, p) -> Some (buf_of inst p))
+        connections
     in
     let input_steps =
       List.concat_map
@@ -205,8 +211,8 @@ let render (g : generated) =
           let len = Shape.size p.Arrayol.Model.pshape in
           let name = "d_in_" ^ sanitize p.Arrayol.Model.pname in
           [
-            Opencl.Emit.Create_buffer { dst = name; len };
-            Opencl.Emit.Write_buffer
+            Kir_c.Alloc { dst = name; len };
+            Kir_c.Upload
               { dst = name; src = "h_" ^ sanitize p.Arrayol.Model.pname; len };
           ])
         g.boundary_inputs
@@ -220,56 +226,36 @@ let render (g : generated) =
               let outs =
                 List.map
                   (fun (port, shape) ->
-                    Opencl.Emit.Create_buffer
+                    Kir_c.Alloc
                       { dst = buf_of inst port; len = Shape.size shape })
                   kt.output_ports
               in
               let args =
                 List.map
                   (fun (port, _) ->
-                    let src =
-                      match
-                        List.find_opt
-                          (fun (c : Arrayol.Model.connection) ->
-                            c.Arrayol.Model.cto
-                            = Arrayol.Model.Part (inst, port))
-                          connections
-                      with
-                      | Some c -> source_buffer c.Arrayol.Model.cfrom
-                      | None -> "d_unbound"
-                    in
-                    (sanitize port, src))
+                    ( sanitize port,
+                      Option.value ~default:"d_unbound"
+                        (feeder (Arrayol.Model.Part (inst, port))) ))
                   kt.input_ports
                 @ List.map
                     (fun (port, _) -> (sanitize port, buf_of inst port))
                     kt.output_ports
               in
               outs
-              @ [
-                  Opencl.Emit.Enqueue_kernel
-                    { kernel = kt.kernel; grid = kt.grid; args };
-                ])
+              @ [ Kir_c.Launch { kernel = kt.kernel; grid = kt.grid; args } ])
         (List.concat g.levels)
     in
     let output_steps =
       List.filter_map
         (fun (p : Arrayol.Model.port) ->
-          match
-            List.find_opt
-              (fun (c : Arrayol.Model.connection) ->
-                c.Arrayol.Model.cto
-                = Arrayol.Model.Boundary p.Arrayol.Model.pname)
-              connections
-          with
-          | Some c ->
-              Some
-                (Opencl.Emit.Read_buffer
+          feeder (Arrayol.Model.Boundary p.Arrayol.Model.pname)
+          |> Option.map (fun src ->
+                 Kir_c.Download
                    {
                      dst = "h_" ^ sanitize p.Arrayol.Model.pname;
-                     src = source_buffer c.Arrayol.Model.cfrom;
+                     src;
                      len = Shape.size p.Arrayol.Model.pshape;
-                   })
-          | None -> None)
+                   }))
         g.boundary_outputs
     in
     input_steps @ kernel_steps @ output_steps

@@ -1,10 +1,12 @@
 (** Metal Shading Language emitter over the shared kernel IR.
 
     The third source backend next to [Cuda.Emit] and [Opencl.Emit]:
-    the same verified kernels print as MSL compute functions with
-    address-space-qualified [[buffer(n)]] parameters and a linearised
-    [[thread_position_in_grid]] work-item id, plus a metal-cpp host
-    program and a Makefile driving the [metal]/[metallib] toolchain. *)
+    the Metal dialect of {!Gpu.Kir_c} prints the same verified kernels
+    as MSL compute functions with address-space-qualified
+    [[buffer(n)]] parameters and a linearised
+    [[thread_position_in_grid]] work-item id; host steps print as a
+    metal-cpp host program, next to a Makefile driving the
+    [metal]/[metallib] toolchain. *)
 
 val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 (** One [kernel void] MSL function; the dispatch is 1-D, so
@@ -16,24 +18,12 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val metal_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** A [.metal] translation unit containing all given kernels. *)
 
-type host_step =
-  | Comment of string
-  | New_buffer of { dst : string; len : int }
-  | Blit_to_device of { dst : string; src : string; len : int }
-  | Blit_from_device of { dst : string; src : string; len : int }
-  | Dispatch of {
-      kernel : Gpu.Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;  (** formal name -> host identifier *)
-    }
-  | Release of { name : string }
-
-val host_program : name:string -> steps:host_step list -> string
+val host_program : name:string -> steps:Gpu.Kir_c.host_step list -> string
 (** A metal-cpp host [main] executing the steps in order: shared-mode
     buffers, [memcpy] blits through [contents()], one command buffer
-    per dispatch with [setBuffer]/[setBytes] bindings in parameter
+    per launch with [setBuffer]/[setBytes] bindings in parameter
     order (matching the [[buffer(n)]] indices the kernel printer
-    assigned).  Raises [Invalid_argument] when a dispatch lacks an
+    assigned).  Raises [Invalid_argument] when a launch lacks an
     actual for a kernel formal. *)
 
 val makefile : name:string -> string

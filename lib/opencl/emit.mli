@@ -2,10 +2,10 @@
 
     The Gaspard2 model-to-text phase produces "source files (.cpp, .cl)
     and a makefile" (Section VI-B of the paper).  This module renders
-    all three from the transformed model's kernels: each repetitive
-    task becomes one [__kernel] whose work-item id is linearised and
-    re-decomposed with [%]/[/] exactly like the generated tiler code in
-    the paper's Figure 11. *)
+    all three: kernels through the OpenCL dialect of {!Gpu.Kir_c}, whose
+    work-item id is linearised and re-decomposed with [%]/[/] exactly
+    like the generated tiler code in the paper's Figure 11, and host
+    steps as OpenCL runtime calls. *)
 
 val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 (** One [__kernel] function guarded by the global work size. *)
@@ -13,20 +13,7 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val cl_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** The [.cl] translation unit containing every kernel. *)
 
-(** Host-side steps of the generated [.cpp], in order. *)
-type host_step =
-  | Comment of string
-  | Create_buffer of { dst : string; len : int }
-  | Write_buffer of { dst : string; src : string; len : int }
-  | Read_buffer of { dst : string; src : string; len : int }
-  | Enqueue_kernel of {
-      kernel : Gpu.Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Release of { name : string }
-
-val host_program : name:string -> steps:host_step list -> string
+val host_program : name:string -> steps:Gpu.Kir_c.host_step list -> string
 (** The generated [.cpp]: platform/context/queue boilerplate, program
     build from the [.cl] file, then [steps]. *)
 

@@ -1,4 +1,5 @@
 open Ndarray
+open Gpu.Kir_c
 
 let dev name = "d_" ^ Kernelize.sanitize name
 
@@ -18,7 +19,7 @@ let host_block_code stmts =
     stmts;
   Buffer.contents buf
 
-let source ~name (plan : Plan.t) =
+let host_steps (plan : Plan.t) =
   let on_device : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let sizes : (string, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -29,8 +30,8 @@ let source ~name (plan : Plan.t) =
   let ensure_device v =
     if not (Hashtbl.mem on_device v) then begin
       let len = try Hashtbl.find sizes v with Not_found -> 0 in
-      push (Cuda.Emit.Alloc { dst = dev v; len });
-      push (Cuda.Emit.Memcpy_h2d { dst = dev v; src = host v; len });
+      push (Alloc { dst = dev v; len });
+      push (Upload { dst = dev v; src = host v; len });
       Hashtbl.replace on_device v ()
     end
   in
@@ -41,7 +42,7 @@ let source ~name (plan : Plan.t) =
       | Plan.Const_array { target; shape; fill } ->
           Hashtbl.replace sizes target (Shape.size shape);
           push
-            (Cuda.Emit.Comment
+            (Comment
                (Printf.sprintf "%s = constant array (%d) of shape %s"
                   (host target) fill (Shape.to_string shape)))
       | Plan.Copy { target; source } ->
@@ -51,58 +52,48 @@ let source ~name (plan : Plan.t) =
           if Hashtbl.mem on_device source then
             Hashtbl.replace on_device target ();
           push
-            (Cuda.Emit.Comment
-               (Printf.sprintf "%s aliases %s" (host target) (host source)))
+            (Comment (Printf.sprintf "%s aliases %s" (host target) (host source)))
       | Plan.Device_withloop { target; swith; kernels = ks; label; _ } ->
           let out_shape =
             Shape.concat swith.Sac.Scalarize.frame
               swith.Sac.Scalarize.cell_shape
           in
           Hashtbl.replace sizes target (Shape.size out_shape);
-          push (Cuda.Emit.Comment (Printf.sprintf "CUDA-WITH-loop: %s" label));
+          push (Comment (Printf.sprintf "CUDA-WITH-loop: %s" label));
           List.iter
             (fun (a, _) -> ensure_device a)
             swith.Sac.Scalarize.arrays;
-          push
-            (Cuda.Emit.Alloc { dst = dev target; len = Shape.size out_shape });
+          push (Alloc { dst = dev target; len = Shape.size out_shape });
           Hashtbl.replace on_device target ();
           List.iter
             (fun ((k : Gpu.Kir.t), grid) ->
               kernels := (k, grid) :: !kernels;
+              (* Array parameters are sanitised array names, so their
+                 device buffer is [dev] of the name itself. *)
               let args =
                 List.map
                   (fun (p : Gpu.Kir.param) ->
-                    if p.Gpu.Kir.pname = "out" then ("out", dev target)
-                    else
-                      ( p.Gpu.Kir.pname,
-                        dev
-                          (match
-                             List.find_opt
-                               (fun (a, _) ->
-                                 Kernelize.sanitize a = p.Gpu.Kir.pname)
-                               swith.Sac.Scalarize.arrays
-                           with
-                          | Some (a, _) -> a
-                          | None -> p.Gpu.Kir.pname) ))
+                    let pname = p.Gpu.Kir.pname in
+                    (pname, dev (if pname = "out" then target else pname)))
                   k.Gpu.Kir.params
               in
-              push (Cuda.Emit.Launch { kernel = k; grid; args }))
+              push (Launch { kernel = k; grid; args }))
             ks
       | Plan.Host_block { stmts; reads; _ } ->
           List.iter
             (fun v ->
               if Hashtbl.mem on_device v then begin
                 let len = try Hashtbl.find sizes v with Not_found -> 0 in
-                push (Cuda.Emit.Memcpy_d2h { dst = host v; src = dev v; len });
+                push (Download { dst = host v; src = dev v; len });
                 Hashtbl.remove on_device v
               end)
             reads;
-          push (Cuda.Emit.Host_code (host_block_code stmts)))
+          push (Host_code (host_block_code stmts)))
     plan.Plan.items;
   (* Result back to the host for display. *)
   if Hashtbl.mem on_device plan.Plan.result then
     push
-      (Cuda.Emit.Memcpy_d2h
+      (Download
          {
            dst = host plan.Plan.result;
            src = dev plan.Plan.result;
@@ -112,8 +103,11 @@ let source ~name (plan : Plan.t) =
     (fun item ->
       match item with
       | Plan.Device_withloop { target; _ } ->
-          if Hashtbl.mem on_device target then
-            push (Cuda.Emit.Free { name = dev target })
+          if Hashtbl.mem on_device target then push (Free { name = dev target })
       | _ -> ())
     plan.Plan.items;
-  Cuda.Emit.program ~name ~kernels:(List.rev !kernels) ~steps:(List.rev !steps)
+  (List.rev !kernels, List.rev !steps)
+
+let source ~name plan =
+  let kernels, steps = host_steps plan in
+  Cuda.Emit.program ~name ~kernels ~steps

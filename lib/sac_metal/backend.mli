@@ -23,6 +23,7 @@ val run :
 type sources = { metal : string; host : string; makefile : string }
 
 val sources : name:string -> Sac_cuda.Plan.t -> sources
-(** The generated translation units.  Host blocks of generic programs
-    appear in the host program as portable C comments, as in the CUDA
-    and OpenCL emitters. *)
+(** The generated translation units: the host steps of
+    {!Sac_cuda.Emit_cu.host_steps} (the walk behind the CUDA and OpenCL
+    sources) printed as metal-cpp host calls.  Host blocks of generic
+    programs appear in the host program as portable C comments. *)

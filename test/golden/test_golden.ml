@@ -76,45 +76,45 @@ let expected =
   [
     ("sac horizontal off cu", "84112b1a7685e6fef851fb00704d11ad");
     ("sac horizontal off opencl.cl", "405e06f9c944b0a185a63d553f60d735");
-    ("sac horizontal off opencl.host", "454b6aa94cbb56444e20b497eb7bf8c2");
+    ("sac horizontal off opencl.host", "15f4e8fec5f41ffe6b00b698a3d39830");
     ("sac horizontal off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac horizontal off metal.metal", "790e20b2cb43c7983d1ee6121f57be74");
-    ("sac horizontal off metal.host", "9cac057d8a2314a1a0d55876bc03b6a2");
+    ("sac horizontal off metal.host", "59cd2206f1b25eded63f79ada2bffe33");
     ("sac horizontal off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac horizontal-generic off cu", "0493615a654bd57a1be029756b0a1fb8");
     ("sac horizontal-generic off opencl.cl", "afd35eb05bcd75e1317e3674bbae3dee");
-    ("sac horizontal-generic off opencl.host", "7aed579f9fc1b843a5832e5bb3a4f47b");
+    ("sac horizontal-generic off opencl.host", "2e212306e6c85c34629f98cf0d726e64");
     ("sac horizontal-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac horizontal-generic off metal.metal", "0a2de98f6990aff8e305c8a66fcb6859");
-    ("sac horizontal-generic off metal.host", "bf88a1b17e6eb56f8f3be31964e5bd87");
+    ("sac horizontal-generic off metal.host", "9fc5d51bfa45bd356a7e8b9e4f2d4e30");
     ("sac horizontal-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac vertical off cu", "160448fc129ffef630bfce9938bc58fc");
     ("sac vertical off opencl.cl", "aaa70d27c6b879616fe520cb99e5d92d");
-    ("sac vertical off opencl.host", "bbe7eeb0cefdf37a552b3c56636dbcce");
+    ("sac vertical off opencl.host", "5a4a6cf75a07ec86895e0e4851695557");
     ("sac vertical off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac vertical off metal.metal", "65c0e23afbd623dcaa73353acb4f983b");
-    ("sac vertical off metal.host", "a6c28291d3d5bca1e008f4885e627cd4");
+    ("sac vertical off metal.host", "3e28e1dc24dee64ba89f5eb08349b6d2");
     ("sac vertical off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac vertical-generic off cu", "290d087b4953fed80b6c1a15ed62a3d6");
     ("sac vertical-generic off opencl.cl", "58132da49ed4e551ce29320f3dd509da");
-    ("sac vertical-generic off opencl.host", "781e729a3b31a03cbf7faba3561083b2");
+    ("sac vertical-generic off opencl.host", "58910310e89f6e1ddfa05ab84871ddd4");
     ("sac vertical-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac vertical-generic off metal.metal", "28c8f1dcc0fa40ae59225743c378d8e5");
-    ("sac vertical-generic off metal.host", "4ad71d5ae40febbaa3c5efb675704338");
+    ("sac vertical-generic off metal.host", "0eaef2aae3dc372095fdd683796f4cda");
     ("sac vertical-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac downscaler off cu", "a37b2cef392c9b661a0ee888a1a4fa06");
     ("sac downscaler off opencl.cl", "ca22e202f8351f5705713ec8c9196585");
-    ("sac downscaler off opencl.host", "67212adb9f42de59a5d73d36c3b60795");
+    ("sac downscaler off opencl.host", "194e575b4d3669e35b525fc0aba8bd1d");
     ("sac downscaler off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac downscaler off metal.metal", "2150f2b858021c8a61afa9f0100428a9");
-    ("sac downscaler off metal.host", "2e3e1cd6a0de5f53ce20cb697b5b1409");
+    ("sac downscaler off metal.host", "badf72eba2781eb5a72a9946572c5bfe");
     ("sac downscaler off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac downscaler-generic off cu", "67f4dad5b77478cb633dd58962d9bcb2");
     ("sac downscaler-generic off opencl.cl", "fe919523148674a68dfe2f8b1e080d3b");
-    ("sac downscaler-generic off opencl.host", "05553e5c86dbd8a5781567aafc03bbad");
+    ("sac downscaler-generic off opencl.host", "23c9ca142792c7434da0c9893e71b27d");
     ("sac downscaler-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac downscaler-generic off metal.metal", "512d158b9b0d01ffa5d41b9962dcd1e5");
-    ("sac downscaler-generic off metal.host", "453d7403362d11c4d1d90d3eb76d233d");
+    ("sac downscaler-generic off metal.host", "453f54d46c727e0123c9a130b22065f9");
     ("sac downscaler-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("mde chain off cl_source", "1f809d83a004ad1f16c45562cce0b6e3");
     ("mde chain off host_source", "ea8cd82f31e5d90e37da74f3ba627f84");
@@ -123,45 +123,45 @@ let expected =
     ("mde chain off metal_file", "c64c700d70a493f768b42ab127d6eb73");
     ("sac horizontal fuse cu", "804e996d475e938361d9ea22222eae15");
     ("sac horizontal fuse opencl.cl", "161a001077923d7d9a94551bf95478f5");
-    ("sac horizontal fuse opencl.host", "b16ec5725c1489cb0cca249f1c48cf84");
+    ("sac horizontal fuse opencl.host", "df74bfa33465bcc2751f3b60c1169e97");
     ("sac horizontal fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac horizontal fuse metal.metal", "c7bdfa589b2e9ad7b68f6e91844742e2");
-    ("sac horizontal fuse metal.host", "b7350f43dae2414d286d2e0d4c062fdc");
+    ("sac horizontal fuse metal.host", "2a612d5553cff7fd488f4b078a9c6856");
     ("sac horizontal fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac horizontal-generic fuse cu", "76b1a3f3e78a39fced821434f7861f62");
     ("sac horizontal-generic fuse opencl.cl", "5732d87dfe416152d7856ba66ab63cdf");
-    ("sac horizontal-generic fuse opencl.host", "dc03fd9a67a3c932607cd5191fb860a3");
+    ("sac horizontal-generic fuse opencl.host", "fe8664cd7fd651bff8853ae1e4330abb");
     ("sac horizontal-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac horizontal-generic fuse metal.metal", "0c8da0452ae84347050f04ec1c3e74b4");
-    ("sac horizontal-generic fuse metal.host", "b0b60e3dcd6dd2ce0a6701d5772993c0");
+    ("sac horizontal-generic fuse metal.host", "727528bde58cc48777c1e1620d028efa");
     ("sac horizontal-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac vertical fuse cu", "80865decb0ab610c9109f242c15f5d59");
     ("sac vertical fuse opencl.cl", "fe7ece51c6a181f8b920f82f89185944");
-    ("sac vertical fuse opencl.host", "acc571ad4d289e5742405576a3816f50");
+    ("sac vertical fuse opencl.host", "309a688390995f379f1276dea8085d97");
     ("sac vertical fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac vertical fuse metal.metal", "101fac26aaf8c308cfd0e75da97176ee");
-    ("sac vertical fuse metal.host", "407a4edc2e2b1b2d0adf55c21b8e6593");
+    ("sac vertical fuse metal.host", "12866a7c975357aa4626439b39a4f64b");
     ("sac vertical fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac vertical-generic fuse cu", "1d24a1e2176acbbdd481fdbc8251cb34");
     ("sac vertical-generic fuse opencl.cl", "5a2d132aeaea02e14a57a72b16934813");
-    ("sac vertical-generic fuse opencl.host", "3e083e1305b1314656303c34a7a97717");
+    ("sac vertical-generic fuse opencl.host", "f6efb9f5d0cdf8d32d7ada3b9576d8a0");
     ("sac vertical-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac vertical-generic fuse metal.metal", "e1e944543dbf75db7045e8ef9f35e88b");
-    ("sac vertical-generic fuse metal.host", "3d532e28ac22dcecd91e78ffa12a0195");
+    ("sac vertical-generic fuse metal.host", "01962b0e04e0aa45631475032da5c32c");
     ("sac vertical-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac downscaler fuse cu", "4c1956547ba61cef8ff7343c9529dd2e");
     ("sac downscaler fuse opencl.cl", "1708c342a1697b818f7f72c4dfa3fd77");
-    ("sac downscaler fuse opencl.host", "5f456d2fe6f2ee0a60af38dfb79db284");
+    ("sac downscaler fuse opencl.host", "d233bac63f1998ec87c27398f9466218");
     ("sac downscaler fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac downscaler fuse metal.metal", "0238efefe06ed66489a2c4057aa4630e");
-    ("sac downscaler fuse metal.host", "cd5290024efa6ca2f40cd8f5cf121cb0");
+    ("sac downscaler fuse metal.host", "855bf7c7e5e08eef096778a3e50a84ce");
     ("sac downscaler fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("sac downscaler-generic fuse cu", "9f5c4202ad4354a54a17d3d38cd5bfad");
     ("sac downscaler-generic fuse opencl.cl", "16980c2aedc7a0001f82f3d2f43ff38f");
-    ("sac downscaler-generic fuse opencl.host", "c7fea7c041e34f96c1404d80e7f68e56");
+    ("sac downscaler-generic fuse opencl.host", "cc81bdbafcc3373c78e9545547f58e56");
     ("sac downscaler-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
     ("sac downscaler-generic fuse metal.metal", "1c8746dc7c4ce09624bf481f9a69ff07");
-    ("sac downscaler-generic fuse metal.host", "ead497fe89e426ac69f0db82f2e2e606");
+    ("sac downscaler-generic fuse metal.host", "c09882be9386e2c9770fa8978ca6a0de");
     ("sac downscaler-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("mde chain fuse cl_source", "2da20a135730b3f201e9965b7df21029");
     ("mde chain fuse host_source", "bdb61800a24b5fe865758081c446d9b2");

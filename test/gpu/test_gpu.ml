@@ -903,23 +903,103 @@ let test_metal_emit () =
   Alcotest.(check bool) "gid decomposition" true
     (contains ~needle:"% 720" src)
 
+(* Grids the CUDA printer cannot map to blockIdx/threadIdx axes (rank
+   0 and rank > 3) launch 1-D over the linearised grid with one
+   guarded id, exactly like the OpenCL and Metal kernels. *)
+let fill_4d =
+  Kir.
+    {
+      kname = "fill4d";
+      params = [ { pname = "out"; kind = Out_buffer } ];
+      grid_rank = 4;
+      body =
+        [
+          Store
+            ( "out",
+              Bin
+                ( Add,
+                  Bin
+                    ( Add,
+                      Bin (Add, Bin (Mul, Gid 0, Int 60), Bin (Mul, Gid 1, Int 20)),
+                      Bin (Mul, Gid 2, Int 5) ),
+                  Gid 3 ),
+              Int 1 );
+        ];
+    }
+
+let fill_0d =
+  Kir.
+    {
+      kname = "fill0d";
+      params = [ { pname = "out"; kind = Out_buffer } ];
+      grid_rank = 0;
+      body = [ Store ("out", Int 0, Int 7) ];
+    }
+
+let check_needles src needles =
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (contains ~needle src))
+    needles
+
+let one_launch kernel grid =
+  Cuda.Emit.program ~name:"p" ~kernels:[ (kernel, grid) ]
+    ~steps:
+      [ Kir_c.Launch { kernel; grid; args = [ ("out", "d_out") ] } ]
+
+let test_rank4_kernels () =
+  let grid = [| 2; 3; 4; 5 |] in
+  let decomposition var =
+    [
+      Printf.sprintf "int gid3 = %s %% 5;" var;
+      Printf.sprintf "int gid2 = (%s / 5) %% 4;" var;
+      Printf.sprintf "int gid1 = (%s / 20) %% 3;" var;
+      Printf.sprintf "int gid0 = %s / 60;" var;
+    ]
+  in
+  let cuda = Cuda.Emit.kernel ~grid fill_4d in
+  check_needles cuda
+    ("int iGID = blockIdx.x * blockDim.x + threadIdx.x;"
+    :: "if (iGID >= 120) return;" :: decomposition "iGID");
+  Alcotest.(check bool) "no per-axis ids" false
+    (contains ~needle:"blockIdx.y" cuda);
+  check_needles (one_launch fill_4d grid)
+    [ "dim3 block(256, 1, 1);"; "dim3 grid(1, 1, 1);" ];
+  check_needles
+    (Opencl.Emit.kernel ~grid fill_4d)
+    ("if (iGID >= 120) return;" :: decomposition "iGID");
+  check_needles
+    (Metal.Emit.kernel ~grid fill_4d)
+    ("if (iGID >= 120u) return;" :: decomposition "lin")
+
+let test_rank0_kernels () =
+  (* One work-item: the CUDA kernel is guarded so the single 256-thread
+     block runs the store once, as the simulator and the OpenCL/Metal
+     kernels do. *)
+  check_needles
+    (Cuda.Emit.kernel ~grid:[||] fill_0d)
+    [ "int iGID = blockIdx.x * blockDim.x + threadIdx.x;"; "if (iGID >= 1) return;" ];
+  check_needles (one_launch fill_0d [||])
+    [ "dim3 block(256, 1, 1);"; "dim3 grid(1, 1, 1);"; "fill0d<<<grid, block>>>(d_out);" ];
+  check_needles (Opencl.Emit.kernel ~grid:[||] fill_0d) [ "if (iGID >= 1) return;" ];
+  check_needles (Metal.Emit.kernel ~grid:[||] fill_0d) [ "if (iGID >= 1u) return;" ]
+
 let test_cuda_program_shape () =
   let src =
     Cuda.Emit.program ~name:"downscaler"
       ~kernels:[ (vadd, [| 64 |]) ]
       ~steps:
         [
-          Cuda.Emit.Comment "transfer in";
-          Cuda.Emit.Alloc { dst = "d_a"; len = 64 };
-          Cuda.Emit.Memcpy_h2d { dst = "d_a"; src = "h_a"; len = 64 };
-          Cuda.Emit.Launch
+          Kir_c.Comment "transfer in";
+          Kir_c.Alloc { dst = "d_a"; len = 64 };
+          Kir_c.Upload { dst = "d_a"; src = "h_a"; len = 64 };
+          Kir_c.Launch
             {
               kernel = vadd;
               grid = [| 64 |];
               args = [ ("a", "d_a"); ("b", "d_a"); ("out", "d_a") ];
             };
-          Cuda.Emit.Memcpy_d2h { dst = "h_a"; src = "d_a"; len = 64 };
-          Cuda.Emit.Free { name = "d_a" };
+          Kir_c.Download { dst = "h_a"; src = "d_a"; len = 64 };
+          Kir_c.Free { name = "d_a" };
         ]
   in
   List.iter
@@ -939,16 +1019,16 @@ let test_opencl_host_shape () =
     Opencl.Emit.host_program ~name:"downscaler"
       ~steps:
         [
-          Opencl.Emit.Create_buffer { dst = "d_in"; len = 128 };
-          Opencl.Emit.Write_buffer { dst = "d_in"; src = "h_in"; len = 128 };
-          Opencl.Emit.Enqueue_kernel
+          Kir_c.Alloc { dst = "d_in"; len = 128 };
+          Kir_c.Upload { dst = "d_in"; src = "h_in"; len = 128 };
+          Kir_c.Launch
             {
               kernel = vadd;
               grid = [| 128 |];
               args = [ ("a", "d_in"); ("b", "d_in"); ("out", "d_in") ];
             };
-          Opencl.Emit.Read_buffer { dst = "h_in"; src = "d_in"; len = 128 };
-          Opencl.Emit.Release { name = "d_in" };
+          Kir_c.Download { dst = "h_in"; src = "d_in"; len = 128 };
+          Kir_c.Free { name = "d_in" };
         ]
   in
   List.iter
@@ -1748,6 +1828,8 @@ let () =
           Alcotest.test_case "cuda kernel" `Quick test_cuda_emit;
           Alcotest.test_case "opencl kernel" `Quick test_opencl_emit;
           Alcotest.test_case "metal kernel" `Quick test_metal_emit;
+          Alcotest.test_case "rank-4 kernels" `Quick test_rank4_kernels;
+          Alcotest.test_case "rank-0 kernels" `Quick test_rank0_kernels;
           Alcotest.test_case "cuda program" `Quick test_cuda_program_shape;
           Alcotest.test_case "opencl host" `Quick test_opencl_host_shape;
           Alcotest.test_case "makefile" `Quick test_makefile;

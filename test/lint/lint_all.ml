@@ -4,6 +4,8 @@
    through the SAC->CUDA compiler, and the Gaspard2 downscaler model
    through the MDE chain — each swept both without and with the
    --opt fuse plan optimizer, so fused dispatch kernels stay verified.
+   Every swept kernel also prints through the CUDA, OpenCL and Metal
+   emitters.
 
    Exits non-zero on any error finding, so the `lint` alias (attached
    to runtest) fails when either code generator regresses. *)
@@ -26,22 +28,54 @@ let report name kernels findings =
     if Analysis.Finding.errors findings > 0 then failed := true
   end
 
+let check_source name what src =
+  if String.length src = 0 then begin
+    Printf.printf "%-32s %s emitter produced no source\n" name what;
+    failed := true
+  end
+
 (* Every linted plan must also print through all three source
    emitters: a plan the analyzers accept but a backend cannot render
    is still a code-generator regression. *)
 let emitters_render name plan =
-  let check what src =
-    if String.length src = 0 then begin
-      Printf.printf "%-32s %s emitter produced no source\n" name what;
-      failed := true
-    end
-  in
-  check "cuda" (Sac_cuda.Emit_cu.source ~name:"lint_sweep" plan);
+  check_source name "cuda" (Sac_cuda.Emit_cu.source ~name:"lint_sweep" plan);
   let ocl = Sac_opencl.Backend.sources ~name:"lint_sweep" plan in
-  check "opencl" ocl.Sac_opencl.Backend.cl;
+  check_source name "opencl" ocl.Sac_opencl.Backend.cl;
   let mtl = Sac_metal.Backend.sources ~name:"lint_sweep" plan in
-  check "metal" mtl.Sac_metal.Backend.metal;
-  check "metal host" mtl.Sac_metal.Backend.host
+  check_source name "metal" mtl.Sac_metal.Backend.metal;
+  check_source name "metal host" mtl.Sac_metal.Backend.host
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* The Gaspard2 chain's tiler gather/scatter kernels print through the
+   same shared kernel printer, so each must render under every
+   dialect, with its own name in the signature. *)
+let kernels_render name kernels =
+  List.iter
+    (fun (what, print) ->
+      List.iter
+        (fun ((k : Gpu.Kir.t), grid) ->
+          let kname = k.Gpu.Kir.kname in
+          match print ~grid k with
+          | src ->
+              if not (contains src (kname ^ "(")) then begin
+                Printf.printf "%-32s %s printer lost kernel %s\n" name what
+                  kname;
+                failed := true
+              end
+          | exception Invalid_argument m ->
+              Printf.printf "%-32s %s printer failed on %s: %s\n" name what
+                kname m;
+              failed := true)
+        kernels)
+    [
+      ("cuda", Cuda.Emit.kernel);
+      ("opencl", Opencl.Emit.kernel);
+      ("metal", Metal.Emit.kernel);
+    ]
 
 let sac_program opt name source =
   match Sac_cuda.Compile.plan_of_source ~opt source ~entry:"main" with
@@ -67,10 +101,13 @@ let sweep opt suffix =
     ];
   match Mde.Chain.transform ~opt (Mde.Chain.downscaler_model ~rows ~cols) with
   | Ok (gen, _) ->
+      let name = "mde/downscaler-chain" ^ suffix in
       let tasks = gen.Mde.Codegen.kernel_tasks in
-      report
-        ("mde/downscaler-chain" ^ suffix)
-        (List.length tasks) (Mde.Verify.check tasks)
+      report name (List.length tasks) (Mde.Verify.check tasks);
+      kernels_render name
+        (List.map
+           (fun kt -> (kt.Mde.Codegen.kernel, kt.Mde.Codegen.grid))
+           tasks)
   | Error m ->
       Printf.printf "%-32s chain failed: %s\n" ("mde/downscaler-chain" ^ suffix)
         m;
