@@ -379,6 +379,203 @@ let prop_static_cost_matches_profile =
             QCheck.Test.fail_reportf "access class differs";
           st.Gpu.Kir.summary <> None)
 
+(* Scoped kernels: lets, loops and branches over a three-name pool, so
+   shadowing is common.  Loaded values are bound too, but only unloaded
+   names feed addresses, conditions and bounds, so every kernel derives
+   statically; addresses are wrapped into the buffers so each one also
+   executes. *)
+let var_pool = [ "u"; "v"; "w" ]
+
+let scoped_grid = [| 5; 40 |]
+
+let scoped_len = 200
+
+let in_bounds a =
+  Gpu.Kir.(Bin (Mod, Bin (Max, a, Int 0), Int scoped_len))
+
+let gen_scoped_body =
+  let open QCheck.Gen in
+  (* [bound]: (name, holds_loaded_value), innermost first. *)
+  let pure_names bound =
+    List.filter_map
+      (fun n ->
+        match List.assoc_opt n bound with
+        | Some false -> Some n
+        | _ -> None)
+      var_pool
+  in
+  let rec addr bound depth =
+    let leaves =
+      [ map (fun n -> Gpu.Kir.Int n) (int_range 0 5);
+        map (fun d -> Gpu.Kir.Gid d) (int_range 0 1) ]
+      @
+      match pure_names bound with
+      | [] -> []
+      | names -> [ map (fun n -> Gpu.Kir.Var n) (oneofl names) ]
+    in
+    if depth = 0 then oneof leaves
+    else
+      frequency
+        [
+          (2, oneof leaves);
+          ( 3,
+            map3
+              (fun op a b -> Gpu.Kir.Bin (op, a, b))
+              (oneofl Gpu.Kir.[ Add; Sub; Mul; Min; Max; Lt; Eq; And; Or ])
+              (addr bound (depth - 1))
+              (addr bound (depth - 1)) );
+          ( 1,
+            map3
+              (fun op a m -> Gpu.Kir.Bin (op, a, Gpu.Kir.Int m))
+              (oneofl Gpu.Kir.[ Div; Mod ])
+              (addr bound (depth - 1))
+              (int_range 1 4) );
+          ( 1,
+            map3
+              (fun c a b -> Gpu.Kir.Select (c, a, b))
+              (addr bound (depth - 1))
+              (addr bound (depth - 1))
+              (addr bound (depth - 1)) );
+        ]
+  in
+  let value bound =
+    let any = List.map fst bound |> List.sort_uniq compare in
+    frequency
+      ([ (2, map (fun a -> Gpu.Kir.Read ("in", in_bounds a)) (addr bound 2));
+         (1, addr bound 2) ]
+      @
+      match any with
+      | [] -> []
+      | names ->
+          [ ( 2,
+              map2
+                (fun n a -> Gpu.Kir.Bin (Gpu.Kir.Add, Gpu.Kir.Var n, a))
+                (oneofl names) (addr bound 1) ) ])
+  in
+  let rec stmts bound depth n =
+    if n = 0 then return []
+    else
+      stmt bound depth >>= fun (bound', s) ->
+      stmts bound' depth (n - 1) >|= fun rest -> s :: rest
+  and stmt bound depth =
+    let store =
+      map2
+        (fun i v -> (bound, Gpu.Kir.Store ("out", in_bounds i, v)))
+        (addr bound 2) (value bound)
+    in
+    let lets =
+      oneofl var_pool >>= fun name ->
+      bool >>= fun loaded ->
+      (if loaded then value bound else addr bound 2) >|= fun e ->
+      let loaded = match e with Gpu.Kir.Read _ -> true | _ -> loaded in
+      ((name, loaded) :: bound, Gpu.Kir.Let (name, e))
+    in
+    let nested =
+      if depth = 0 then []
+      else
+        [
+          ( 1,
+            addr bound 2 >>= fun c ->
+            int_range 0 2 >>= fun nt ->
+            int_range 0 2 >>= fun ne ->
+            stmts bound (depth - 1) nt >>= fun t ->
+            stmts bound (depth - 1) ne >|= fun e ->
+            (bound, Gpu.Kir.If (c, t, e)) );
+          ( 1,
+            oneofl var_pool >>= fun var ->
+            int_range 1 3 >>= fun hi ->
+            int_range 1 3 >>= fun nb ->
+            stmts ((var, false) :: bound) (depth - 1) nb >|= fun body ->
+            (bound, Gpu.Kir.For { var; lo = Gpu.Kir.Int 0; hi = Gpu.Kir.Int hi; body })
+          );
+        ]
+    in
+    frequency ([ (2, store); (2, lets) ] @ nested)
+  in
+  int_range 1 6 >>= fun n -> stmts [] 2 n
+
+let scoped_kernel body =
+  {
+    Gpu.Kir.kname = "fuzz_scoped";
+    params =
+      [
+        { Gpu.Kir.pname = "in"; kind = Gpu.Kir.In_buffer };
+        { Gpu.Kir.pname = "out"; kind = Gpu.Kir.Out_buffer };
+      ];
+    grid_rank = 2;
+    body;
+  }
+
+(* A consistent renaming of every let-bound and loop variable: a
+   permutation of the pool, so shadowing is preserved exactly. *)
+let rename_var = function "u" -> "w" | "v" -> "u" | "w" -> "v" | n -> n
+
+let rec rename_expr = function
+  | Gpu.Kir.Var n -> Gpu.Kir.Var (rename_var n)
+  | Gpu.Kir.Read (b, i) -> Gpu.Kir.Read (b, rename_expr i)
+  | Gpu.Kir.Bin (op, a, b) -> Gpu.Kir.Bin (op, rename_expr a, rename_expr b)
+  | Gpu.Kir.Select (c, a, b) ->
+      Gpu.Kir.Select (rename_expr c, rename_expr a, rename_expr b)
+  | (Gpu.Kir.Int _ | Gpu.Kir.Gid _ | Gpu.Kir.Param _) as e -> e
+
+let rec rename_stmt = function
+  | Gpu.Kir.Let (n, e) -> Gpu.Kir.Let (rename_var n, rename_expr e)
+  | Gpu.Kir.Store (b, i, v) -> Gpu.Kir.Store (b, rename_expr i, rename_expr v)
+  | Gpu.Kir.If (c, t, e) ->
+      Gpu.Kir.If (rename_expr c, List.map rename_stmt t, List.map rename_stmt e)
+  | Gpu.Kir.For { var; lo; hi; body } ->
+      Gpu.Kir.For
+        {
+          var = rename_var var;
+          lo = rename_expr lo;
+          hi = rename_expr hi;
+          body = List.map rename_stmt body;
+        }
+
+let rename_cost (c : Gpu.Kir.cost) =
+  {
+    c with
+    Gpu.Kir.summary =
+      Option.map
+        (fun s ->
+          {
+            s with
+            Gpu.Kir.as_branches =
+              List.map
+                (fun b -> { b with Gpu.Kir.br_cond = rename_expr b.Gpu.Kir.br_cond })
+                s.Gpu.Kir.as_branches;
+          })
+        c.Gpu.Kir.summary;
+  }
+
+let arb_scoped =
+  QCheck.make
+    ~print:(fun body -> Cuda.Emit.kernel ~grid:scoped_grid (scoped_kernel body))
+    gen_scoped_body
+
+let prop_static_cost_scoped =
+  QCheck.Test.make ~name:"static_cost = profile_threads, scoped" ~count:300
+    arb_scoped (fun body ->
+      let k = scoped_kernel body in
+      let buf id name =
+        Gpu.Kir.Buffer_arg
+          { Gpu.Buffer.id; name; data = Array.make scoped_len 0 }
+      in
+      let args = [ ("in", buf 0 "in"); ("out", buf 1 "out") ] in
+      let d = Gpu.Kir.profile_threads k ~args ~grid:scoped_grid in
+      match Gpu.Kir.static_cost k ~grid:scoped_grid with
+      | Error m -> QCheck.Test.fail_reportf "static derivation failed: %s" m
+      | Ok st ->
+          { st with Gpu.Kir.summary = None } = d)
+
+let prop_static_cost_renaming =
+  QCheck.Test.make ~name:"static_cost invariant under variable renaming"
+    ~count:300 arb_scoped (fun body ->
+      let k = scoped_kernel body in
+      let renamed = { k with Gpu.Kir.body = List.map rename_stmt body } in
+      Result.map rename_cost (Gpu.Kir.static_cost k ~grid:scoped_grid)
+      = Gpu.Kir.static_cost renamed ~grid:scoped_grid)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -393,5 +590,9 @@ let () =
           ] );
       ( "static-cost",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_static_cost_matches_profile ] );
+          [
+            prop_static_cost_matches_profile;
+            prop_static_cost_scoped;
+            prop_static_cost_renaming;
+          ] );
     ]

@@ -472,6 +472,214 @@ let test_static_cost_agrees () =
       Alcotest.(check int) "divergent branches" 0 s.Kir.as_divergent_branches;
       Alcotest.(check int) "stranded lanes" 0 s.Kir.as_stranded_lanes
 
+(* Evaluator edge cases: scoping, blocking and short-circuits.  Every
+   [Ok] must also agree with the executed profile. *)
+let edge_kernel body =
+  {
+    Kir.kname = "edge";
+    params =
+      [
+        { Kir.pname = "a"; kind = Kir.In_buffer };
+        { Kir.pname = "n"; kind = Kir.Scalar };
+        { Kir.pname = "out"; kind = Kir.Out_buffer };
+      ];
+    grid_rank = 1;
+    body;
+  }
+
+let edge_grid = [| 64 |]
+
+let edge_static ?(scalars = [ ("n", 3) ]) body =
+  let k = edge_kernel body in
+  let r = Kir.static_cost ~scalars k ~grid:edge_grid in
+  (match r with
+  | Error _ -> ()
+  | Ok st ->
+      let buf id name =
+        Kir.Buffer_arg { Buffer.id; name; data = Array.make 256 0 }
+      in
+      let args =
+        [ ("a", buf 0 "a"); ("n", Kir.Scalar_arg 3); ("out", buf 1 "out") ]
+      in
+      let d = Kir.profile_threads k ~args ~grid:edge_grid in
+      Alcotest.(check (list (float 0.0)))
+        "static = executed"
+        [ d.Kir.reads_per_thread; d.writes_per_thread; d.ops_per_thread;
+          d.read_burst ]
+        [ st.Kir.reads_per_thread; st.writes_per_thread; st.ops_per_thread;
+          st.read_burst ];
+      Alcotest.(check bool) "class" true (d.Kir.access = st.Kir.access));
+  r
+
+let check_error what expected r =
+  match r with
+  | Ok _ -> Alcotest.failf "%s: expected Error %S, got Ok" what expected
+  | Error m -> Alcotest.(check string) what expected m
+
+let summary_of what = function
+  | Ok c -> Option.get c.Kir.summary
+  | Error m -> Alcotest.failf "%s: unexpected Error %S" what m
+
+let test_static_shadow_in_if () =
+  (* The branch's [x] is a loaded value; the outer [x] (= gid) must come
+     back as the address of the final store. *)
+  let s =
+    summary_of "shadow in If"
+      (edge_static
+         Kir.
+           [
+             Let ("x", Gid 0);
+             If
+               ( Bin (Lt, Gid 0, Int 40),
+                 [ Let ("x", Read ("a", Gid 0)); Store ("out", Gid 0, Var "x") ],
+                 [ Let ("x", Int 7); Store ("out", Var "x", Int 1) ] );
+             Store ("out", Var "x", Int 2);
+           ])
+  in
+  Alcotest.(check int) "the middle warp diverges" 1 s.Kir.as_divergent_branches
+
+let test_static_shadow_in_for () =
+  ignore
+    (summary_of "shadow in For"
+       (edge_static
+          Kir.
+            [
+              Let ("i", Int 5);
+              For
+                {
+                  var = "j";
+                  lo = Int 0;
+                  hi = Int 3;
+                  body =
+                    [
+                      Let ("i", Read ("a", Var "j"));
+                      Store ("out", Gid 0, Var "i");
+                    ];
+                };
+              Store ("out", Var "i", Int 0);
+            ]))
+
+let test_static_for_shadows_let () =
+  (* After the loop [k] is the outer gid again: threads 0 and 1 take the
+     branch, which the executed profile counts. *)
+  ignore
+    (summary_of "For variable shadows a let"
+       (edge_static
+          Kir.
+            [
+              Let ("k", Gid 0);
+              For
+                {
+                  var = "k";
+                  lo = Int 0;
+                  hi = Int 4;
+                  body = [ Store ("out", Bin (Add, Gid 0, Var "k"), Int 1) ];
+                };
+              If
+                ( Bin (Lt, Var "k", Int 2),
+                  [ Store ("out", Gid 0, Read ("a", Var "k")) ],
+                  [] );
+            ]))
+
+let test_static_loaded_address () =
+  (* The data-independence gate sees the loaded value first. *)
+  check_error "loaded value as a read address"
+    "thread cost depends on buffer contents"
+    (edge_static
+       Kir.
+         [
+           Let ("v", Read ("a", Gid 0));
+           Store ("out", Gid 0, Read ("a", Var "v"));
+         ]);
+  check_error "loaded value as a store address"
+    "thread cost depends on buffer contents"
+    (edge_static Kir.[ Store ("out", Read ("a", Gid 0), Int 0) ])
+
+let test_static_known_zero_divisor () =
+  check_error "division by zero" "division or modulo by zero"
+    (edge_static Kir.[ Store ("out", Gid 0, Bin (Div, Gid 0, Int 0)) ]);
+  (* The known zero divisor wins over an unknown dividend. *)
+  check_error "modulo by zero" "division or modulo by zero"
+    (edge_static
+       Kir.[ Store ("out", Gid 0, Bin (Mod, Read ("a", Gid 0), Int 0)) ])
+
+let test_static_short_circuits () =
+  let loaded = Kir.Read ("a", Kir.Gid 0) in
+  List.iter
+    (fun (name, value) ->
+      ignore
+        (summary_of name (edge_static Kir.[ Store ("out", Gid 0, value) ])))
+    Kir.
+      [
+        ("Mul by zero", Bin (Mul, loaded, Int 0));
+        ("zero Mul", Bin (Mul, Int 0, loaded));
+        ("And false", Bin (And, loaded, Int 0));
+        ("Or true", Bin (Or, Int 1, loaded));
+        ("Add", Bin (Add, loaded, Int 1));
+      ];
+  (* In a control position the data-independence gate rejects the
+     operand before any short-circuit is considered. *)
+  check_error "short-circuit as a branch condition"
+    "thread cost depends on buffer contents"
+    (edge_static
+       Kir.[ If (Bin (And, loaded, Int 0), [ Store ("out", Gid 0, Int 1) ], []) ])
+
+let test_static_scalars () =
+  (* A scalar with no static value blocks only when evaluated. *)
+  let body =
+    Kir.
+      [
+        If
+          ( Bin (Lt, Gid 0, Int 100),
+            [ Store ("out", Gid 0, Int 1) ],
+            [ Store ("out", Param "n", Int 1) ] );
+      ]
+  in
+  ignore (summary_of "untaken scalar" (edge_static ~scalars:[] body));
+  check_error "taken scalar" "no static value for scalar n"
+    (edge_static ~scalars:[]
+       Kir.[ For { var = "i"; lo = Int 0; hi = Param "n"; body = [] } ]);
+  ignore
+    (summary_of "known scalar"
+       (edge_static
+          Kir.
+            [
+              For
+                {
+                  var = "i";
+                  lo = Int 0;
+                  hi = Param "n";
+                  body = [ Store ("out", Bin (Add, Gid 0, Var "i"), Int 0) ];
+                };
+            ]))
+
+let test_static_branch_order () =
+  (* Nested branches in both arms: [as_branches] lists the outer
+     branch, then the else arm's, then the then arm's. *)
+  let guard m =
+    Kir.Bin (Kir.Eq, Kir.Bin (Kir.Mod, Kir.Gid 0, Kir.Int m), Kir.Int 0)
+  in
+  let store = Kir.Store ("out", Kir.Gid 0, Kir.Int 1) in
+  let s =
+    summary_of "nested branches"
+      (edge_static
+         Kir.
+           [
+             If
+               ( guard 2,
+                 [ If (guard 3, [ store ], []) ],
+                 [ If (guard 5, [ store ], []); If (guard 7, [], [ store ]) ] );
+           ])
+  in
+  Alcotest.(check (list string)) "site order"
+    [
+      "((gid0 % 2) == 0)"; "((gid0 % 5) == 0)"; "((gid0 % 7) == 0)";
+      "((gid0 % 3) == 0)";
+    ]
+    (List.map
+       (fun b -> Gpu.Kir_c.expr_text b.Kir.br_cond)
+       s.Kir.as_branches)
+
 let test_divergence_factor () =
   let d = Device.gtx480 in
   let base =
@@ -1786,6 +1994,21 @@ let () =
           Alcotest.test_case "launch floor" `Quick test_perf_launch_floor;
           Alcotest.test_case "static cost agrees" `Quick
             test_static_cost_agrees;
+          Alcotest.test_case "static: let shadowed in If" `Quick
+            test_static_shadow_in_if;
+          Alcotest.test_case "static: let shadowed in For" `Quick
+            test_static_shadow_in_for;
+          Alcotest.test_case "static: For shadows a let" `Quick
+            test_static_for_shadows_let;
+          Alcotest.test_case "static: loaded address" `Quick
+            test_static_loaded_address;
+          Alcotest.test_case "static: known zero divisor" `Quick
+            test_static_known_zero_divisor;
+          Alcotest.test_case "static: short-circuits" `Quick
+            test_static_short_circuits;
+          Alcotest.test_case "static: scalars" `Quick test_static_scalars;
+          Alcotest.test_case "static: branch order" `Quick
+            test_static_branch_order;
           Alcotest.test_case "divergence factor" `Quick test_divergence_factor;
           Alcotest.test_case "memcpy calibration" `Quick
             test_memcpy_times_calibrated;
