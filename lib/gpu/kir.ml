@@ -595,40 +595,77 @@ let interp_thread kernel ~args ~gid trace =
    median gap between consecutively issued reads.  Generated downscaler
    kernels read either consecutive pixels of a row (gap 1: [`Row]) or a
    fixed column of consecutive rows (gap = row width: [`Column]). *)
-let classify_addrs addrs =
-  match addrs with
-  | [] | [ _ ] -> `Row
-  | _ ->
-      let a = Array.of_list (List.rev addrs) in
-      let gaps =
-        Array.init
-          (Array.length a - 1)
-          (fun i -> abs (a.(i + 1) - a.(i)))
-      in
-      Array.sort compare gaps;
-      let median = gaps.(Array.length gaps / 2) in
-      if median <= 2 then `Row
-      else if median >= 8 then
-        (* Constant large stride = column walk; irregular = gather. *)
-        let uniform =
-          Array.for_all (fun g -> g = gaps.(0) || g <= 2) gaps
-        in
-        if uniform then `Column else `Gather
-      else `Gather
+(* A trace accumulated most recent first, as an array in issue order. *)
+let issued addrs =
+  let a = Array.of_list addrs in
+  let n = Array.length a in
+  for i = 0 to (n / 2) - 1 do
+    let x = a.(i) in
+    a.(i) <- a.(n - 1 - i);
+    a.(n - 1 - i) <- x
+  done;
+  a
+
+(* The [k]-th smallest element of [a] (0-based), by Wirth's
+   selection; permutes [a]. *)
+let select a k =
+  let l = ref 0 and r = ref (Array.length a - 1) in
+  while !l < !r do
+    let x = a.(k) in
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while a.(!i) < x do incr i done;
+      while x < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
+  done;
+  a.(k)
+
+let classify_issued a =
+  if Array.length a <= 1 then `Row
+  else
+    let gaps =
+      Array.init (Array.length a - 1) (fun i -> abs (a.(i + 1) - a.(i)))
+    in
+    let smallest = Array.fold_left min max_int gaps in
+    let median = select gaps (Array.length gaps / 2) in
+    if median <= 2 then `Row
+    else if median >= 8 then
+      (* Constant large stride = column walk; irregular = gather. *)
+      let uniform = Array.for_all (fun g -> g = smallest || g <= 2) gaps in
+      if uniform then `Column else `Gather
+    else `Gather
+
+let classify_addrs addrs = classify_issued (issued addrs)
 
 (* Mean length of maximal consecutive-address runs in issue order. *)
-let burst_of_addrs addrs =
-  match addrs with
-  | [] -> 1.0
-  | _ ->
-      let a = Array.of_list (List.rev addrs) in
-      let runs = ref 1 in
-      for i = 0 to Array.length a - 2 do
-        (* Ascending or descending unit steps both form a burst (code
-           generators may emit window reads in either order). *)
-        if abs (a.(i + 1) - a.(i)) <> 1 then incr runs
-      done;
-      float_of_int (Array.length a) /. float_of_int !runs
+let burst_issued a =
+  if Array.length a = 0 then 1.0
+  else begin
+    let runs = ref 1 in
+    for i = 0 to Array.length a - 2 do
+      (* Ascending or descending unit steps both form a burst (code
+         generators may emit window reads in either order). *)
+      if abs (a.(i + 1) - a.(i)) <> 1 then incr runs
+    done;
+    float_of_int (Array.length a) /. float_of_int !runs
+  end
+
+let burst_of_addrs addrs = burst_issued (issued addrs)
+
+(* Majority vote over per-thread classes; ties favour [`Row]. *)
+let class_of ~row ~col ~gather =
+  if gather > row && gather > col then `Gather
+  else if col > row then `Column
+  else `Row
 
 let profile_threads kernel ~args ~grid =
   (match check_args kernel args with
@@ -663,9 +700,7 @@ let profile_threads kernel ~args ~grid =
     done;
     let nf = float_of_int !n in
     let access =
-      if !votes_gather > !votes_row && !votes_gather > !votes_col then `Gather
-      else if !votes_col > !votes_row then `Column
-      else `Row
+      class_of ~row:!votes_row ~col:!votes_col ~gather:!votes_gather
     in
     {
       reads_per_thread = float_of_int !reads /. nf;
@@ -683,7 +718,7 @@ let profile_threads kernel ~args ~grid =
 
 (* {!static_cost} re-derives the {!profile_threads} numbers without
    touching buffer data: buffer loads evaluate to an opaque value, and
-   the interpreter demands that every address, branch condition and
+   the evaluator demands that every address, branch condition and
    loop bound still reduce to a concrete integer.  For any kernel that
    passes {!cost_data_independent} this succeeds and — because it
    mirrors [interp_thread]'s evaluation and counting order and samples
@@ -694,143 +729,260 @@ let profile_threads kernel ~args ~grid =
 
 exception Static_blocked of string
 
-type sval = Known of int | Unknown
-
-(* [If] statements annotated with stable site ids, so decision traces
-   from different lanes can be compared per branch. *)
-type astmt =
-  | S_let of string * expr
-  | S_store of string * expr * expr
-  | S_if of int * expr * astmt list * astmt list
-  | S_for of string * expr * expr * astmt list
-
-let annotate body =
-  let sites = ref [] in
-  let next = ref 0 in
-  let rec stmts ss = List.map stmt ss
-  and stmt = function
-    | Let (n, e) -> S_let (n, e)
-    | Store (b, i, v) -> S_store (b, i, v)
-    | If (c, t, e) ->
-        let id = !next in
-        incr next;
-        sites := (id, c) :: !sites;
-        (* Children annotated after the parent: program order. *)
-        S_if (id, c, stmts t, stmts e)
-    | For { var; lo; hi; body } -> S_for (var, lo, hi, stmts body)
-  in
-  let b = stmts body in
-  (b, List.rev !sites)
-
-type strace = {
+(* The static evaluator is compiled once per {!static_cost} call, like
+   {!prepare}: variables resolve to slots (shadowing binds a fresh
+   slot), each [Read] to its buffer's parameter index and each [If] to
+   a site id.  A compiled expression returns its value and leaves its
+   known-ness in [known]; slots keep theirs in the parallel [kn] array,
+   so evaluation allocates nothing but the address traces. *)
+type sstate = {
+  mutable gid : int array;
+  mutable known : bool;  (* known-ness of the value just returned *)
+  vals : int array;  (* slot values *)
+  kn : bool array;  (* slot known-ness *)
   mutable s_reads : int;
   mutable s_writes : int;
   mutable s_ops : int;
   mutable s_read_addrs : int list;  (* reversed, like [trace] *)
-  s_buf_addrs : (string, int list ref) Hashtbl.t;  (* reversed per buffer *)
-  s_decisions : (int, bool list ref) Hashtbl.t;  (* reversed per If site *)
-  s_site_ops : int array;
-  s_site_stores : int array;
+  buf_addrs : int list array;  (* reversed, per parameter index *)
+  decisions : bool list array;  (* reversed, per If site *)
+  site_ops : int array;
+  site_stores : int array;
 }
 
-let new_strace ~nsites =
-  {
-    s_reads = 0;
-    s_writes = 0;
-    s_ops = 0;
-    s_read_addrs = [];
-    s_buf_addrs = Hashtbl.create 4;
-    s_decisions = Hashtbl.create 4;
-    s_site_ops = Array.make (max 1 nsites) 0;
-    s_site_stores = Array.make (max 1 nsites) 0;
-  }
+type static_eval = {
+  nslots : int;
+  nsites : int;
+  sites : expr list;  (* If conditions by site id *)
+  run : sstate -> unit;
+}
 
-let known what = function
-  | Known v -> v
-  | Unknown -> raise (Static_blocked what)
+let blocked m = raise (Static_blocked m)
 
-let static_thread ~scalars ~gid body trace =
-  let rec eval env = function
-    | Int n -> Known n
-    | Gid d -> Known gid.(d)
+let compile_static ~scalars kernel =
+  let buffer_index name =
+    let rec go i = function
+      | p :: _ when p.pname = name -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> assert false (* validate *)
+    in
+    go 0 kernel.params
+  in
+  let next_slot = ref 0 and next_site = ref 0 and sites = ref [] in
+  (* Variable name -> slot; [Hashtbl.add] shadows and [Hashtbl.remove]
+     restores the outer binding, so the table follows lexical scope. *)
+  let scope : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let fresh counter =
+    let s = !counter in
+    incr counter;
+    s
+  in
+  let rec comp_expr = function
+    | Int n ->
+        fun t ->
+          t.known <- true;
+          n
+    | Gid d ->
+        fun t ->
+          t.known <- true;
+          t.gid.(d)
     | Param name -> (
         match List.assoc_opt name scalars with
-        | Some v -> Known v
+        | Some v ->
+            fun t ->
+              t.known <- true;
+              v
         | None ->
-            raise
-              (Static_blocked
-                 (Printf.sprintf "no static value for scalar %s" name)))
-    | Var name -> List.assoc name env
+            let m = Printf.sprintf "no static value for scalar %s" name in
+            fun _ -> blocked m)
+    | Var name ->
+        let slot = Hashtbl.find scope name in
+        fun t ->
+          t.known <- t.kn.(slot);
+          t.vals.(slot)
     | Read (buf, idx) ->
-        let i = known "buffer-dependent read address" (eval env idx) in
-        trace.s_reads <- trace.s_reads + 1;
-        trace.s_read_addrs <- i :: trace.s_read_addrs;
-        (match Hashtbl.find_opt trace.s_buf_addrs buf with
-        | Some l -> l := i :: !l
-        | None -> Hashtbl.add trace.s_buf_addrs buf (ref [ i ]));
-        Unknown
+        let bi = buffer_index buf in
+        let idx = comp_expr idx in
+        fun t ->
+          let i = idx t in
+          if not t.known then blocked "buffer-dependent read address";
+          t.s_reads <- t.s_reads + 1;
+          t.s_read_addrs <- i :: t.s_read_addrs;
+          t.buf_addrs.(bi) <- i :: t.buf_addrs.(bi);
+          t.known <- false;
+          0
     | Bin (op, a, b) -> (
         (* Same counting as [interp_thread]: one op, both operands
            evaluated unconditionally — right-to-left, matching the
            argument evaluation order of its [apply_binop] call, so the
            issue order of read addresses (and hence burst) agrees. *)
-        trace.s_ops <- trace.s_ops + 1;
-        let vb = eval env b in
-        let va = eval env a in
-        match (op, va, vb) with
-        | (Div | Mod), _, Known 0 ->
-            raise (Static_blocked "division or modulo by zero")
-        | _, Known x, Known y -> Known (apply_binop op x y)
-        | (Div | Mod), _, Unknown ->
-            raise (Static_blocked "buffer-dependent divisor")
-        | And, Known 0, _ | And, _, Known 0 -> Known 0
-        | Or, Known x, _ when x <> 0 -> Known 1
-        | Or, _, Known y when y <> 0 -> Known 1
-        | Mul, Known 0, _ | Mul, _, Known 0 -> Known 0
-        | _ -> Unknown)
+        let a = comp_expr a and b = comp_expr b in
+        let strict f t =
+          t.s_ops <- t.s_ops + 1;
+          let vb = b t in
+          let kb = t.known in
+          let va = a t in
+          t.known <- t.known && kb;
+          f va vb
+        in
+        (* A known operand can decide the result alone. *)
+        let absorbing ~decides ~result f t =
+          t.s_ops <- t.s_ops + 1;
+          let vb = b t in
+          let kb = t.known in
+          let va = a t in
+          let ka = t.known in
+          if ka && kb then f va vb
+          else if (ka && decides va) || (kb && decides vb) then begin
+            t.known <- true;
+            result
+          end
+          else begin
+            t.known <- false;
+            0
+          end
+        in
+        match op with
+        | Div | Mod ->
+            fun t ->
+              t.s_ops <- t.s_ops + 1;
+              let vb = b t in
+              let kb = t.known in
+              let va = a t in
+              if kb && vb = 0 then blocked "division or modulo by zero";
+              if not kb then blocked "buffer-dependent divisor";
+              if t.known then apply_binop op va vb else 0
+        | Mul -> absorbing ~decides:(fun v -> v = 0) ~result:0 ( * )
+        | And ->
+            absorbing ~decides:(fun v -> v = 0) ~result:0 (fun x y ->
+                int_of_bool (x <> 0 && y <> 0))
+        | Or ->
+            absorbing ~decides:(fun v -> v <> 0) ~result:1 (fun x y ->
+                int_of_bool (x <> 0 || y <> 0))
+        | Add -> strict ( + )
+        | Sub -> strict ( - )
+        | Min -> strict min
+        | Max -> strict max
+        | Lt -> strict (fun x y -> int_of_bool (x < y))
+        | Le -> strict (fun x y -> int_of_bool (x <= y))
+        | Gt -> strict (fun x y -> int_of_bool (x > y))
+        | Ge -> strict (fun x y -> int_of_bool (x >= y))
+        | Eq -> strict (fun x y -> int_of_bool (x = y))
+        | Ne -> strict (fun x y -> int_of_bool (x <> y)))
     | Select (c, a, b) ->
-        trace.s_ops <- trace.s_ops + 1;
-        if known "buffer-dependent select condition" (eval env c) <> 0 then
-          eval env a
-        else eval env b
+        let c = comp_expr c and a = comp_expr a and b = comp_expr b in
+        fun t ->
+          t.s_ops <- t.s_ops + 1;
+          let v = c t in
+          if not t.known then blocked "buffer-dependent select condition";
+          if v <> 0 then a t else b t
   in
-  let rec exec env = function
-    | [] -> env
-    | S_let (name, e) :: rest -> exec ((name, eval env e) :: env) rest
-    | S_store (_, idx, v) :: rest ->
-        let _ = known "buffer-dependent store address" (eval env idx) in
-        let _ = eval env v in
-        trace.s_writes <- trace.s_writes + 1;
-        exec env rest
-    | S_if (site, c, then_, else_) :: rest ->
-        let taken = known "buffer-dependent branch" (eval env c) <> 0 in
-        (match Hashtbl.find_opt trace.s_decisions site with
-        | Some l -> l := taken :: !l
-        | None -> Hashtbl.add trace.s_decisions site (ref [ taken ]));
-        let ops0 = trace.s_ops and st0 = trace.s_writes in
-        ignore (exec env (if taken then then_ else else_));
-        trace.s_site_ops.(site) <-
-          trace.s_site_ops.(site) + (trace.s_ops - ops0);
-        trace.s_site_stores.(site) <-
-          trace.s_site_stores.(site) + (trace.s_writes - st0);
-        exec env rest
-    | S_for (var, lo, hi, body) :: rest ->
-        let stop = known "buffer-dependent loop bound" (eval env hi) in
-        let i = ref (known "buffer-dependent loop bound" (eval env lo)) in
-        while !i < stop do
-          ignore (exec ((var, Known !i) :: env) body);
-          incr i
-        done;
-        exec env rest
+  (* A block's lets go out of scope at its end. *)
+  let rec comp_block stmts =
+    let bound = ref [] in
+    let run = comp_stmts bound stmts in
+    List.iter (Hashtbl.remove scope) !bound;
+    run
+  and comp_stmts bound = function
+    | [] -> fun _ -> ()
+    | stmt :: rest ->
+        let head = comp_stmt bound stmt in
+        let tail = comp_stmts bound rest in
+        fun t ->
+          head t;
+          tail t
+  and comp_stmt bound = function
+    | Let (name, e) ->
+        let e = comp_expr e in
+        let slot = fresh next_slot in
+        Hashtbl.add scope name slot;
+        bound := name :: !bound;
+        fun t ->
+          t.vals.(slot) <- e t;
+          t.kn.(slot) <- t.known
+    | Store (_, idx, v) ->
+        let idx = comp_expr idx and v = comp_expr v in
+        fun t ->
+          ignore (idx t);
+          if not t.known then blocked "buffer-dependent store address";
+          ignore (v t);
+          t.s_writes <- t.s_writes + 1
+    | If (c, then_, else_) ->
+        (* Sites are numbered in pre-order, the else branch's before the
+           then branch's; [as_branches] lists them in id order. *)
+        let site = fresh next_site in
+        sites := c :: !sites;
+        let c = comp_expr c in
+        let else_ = comp_block else_ in
+        let then_ = comp_block then_ in
+        fun t ->
+          let v = c t in
+          if not t.known then blocked "buffer-dependent branch";
+          let taken = v <> 0 in
+          t.decisions.(site) <- taken :: t.decisions.(site);
+          let ops0 = t.s_ops and st0 = t.s_writes in
+          if taken then then_ t else else_ t;
+          t.site_ops.(site) <- t.site_ops.(site) + (t.s_ops - ops0);
+          t.site_stores.(site) <- t.site_stores.(site) + (t.s_writes - st0)
+    | For { var; lo; hi; body } ->
+        let lo = comp_expr lo and hi = comp_expr hi in
+        let slot = fresh next_slot in
+        Hashtbl.add scope var slot;
+        let body = comp_block body in
+        Hashtbl.remove scope var;
+        fun t ->
+          let stop = hi t in
+          if not t.known then blocked "buffer-dependent loop bound";
+          let i = ref (lo t) in
+          if not t.known then blocked "buffer-dependent loop bound";
+          while !i < stop do
+            t.vals.(slot) <- !i;
+            t.kn.(slot) <- true;
+            body t;
+            incr i
+          done
   in
-  ignore (exec [] body)
+  let run = comp_block kernel.body in
+  { nslots = !next_slot; nsites = !next_site; sites = List.rev !sites; run }
+
+let new_sstate ev ~nparams =
+  {
+    gid = [||];
+    known = true;
+    vals = Array.make (max 1 ev.nslots) 0;
+    kn = Array.make (max 1 ev.nslots) false;
+    s_reads = 0;
+    s_writes = 0;
+    s_ops = 0;
+    s_read_addrs = [];
+    buf_addrs = Array.make nparams [];
+    decisions = Array.make (max 1 ev.nsites) [];
+    site_ops = Array.make (max 1 ev.nsites) 0;
+    site_stores = Array.make (max 1 ev.nsites) 0;
+  }
+
+(* Evaluate one thread from a clean trace. *)
+let eval_thread ev t gid =
+  t.gid <- gid;
+  t.s_reads <- 0;
+  t.s_writes <- 0;
+  t.s_ops <- 0;
+  t.s_read_addrs <- [];
+  Array.fill t.buf_addrs 0 (Array.length t.buf_addrs) [];
+  Array.fill t.decisions 0 (Array.length t.decisions) [];
+  Array.fill t.site_ops 0 (Array.length t.site_ops) 0;
+  Array.fill t.site_stores 0 (Array.length t.site_stores) 0;
+  ev.run t
 
 let warp_size = 32
 
 (* Floor division for (defensively) possibly-negative addresses. *)
 let seg_of a = if a >= 0 then a / warp_size else ((a + 1) / warp_size) - 1
 
+let bank_of a = ((a mod warp_size) + warp_size) mod warp_size
+
 type bstat = {
+  mutable touched : bool;  (* read by some sampled thread or warp lane *)
   mutable b_reads : int;
   mutable b_burst : float;
   mutable b_threads : int;  (* sampled threads that touched the buffer *)
@@ -845,17 +997,61 @@ type bstat = {
   mutable b_bank : int;  (* max bank-conflict degree over steps *)
 }
 
-let bstat_of tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some s -> s
-  | None ->
-      let s =
-        { b_reads = 0; b_burst = 0.; b_threads = 0; b_row = 0; b_col = 0;
-          b_gather = 0; b_events = 0; b_distinct = 0; b_useful = 0;
-          b_fetched = 0; b_bank = 0 }
-      in
-      Hashtbl.add tbl name s;
-      s
+(* Per-step transaction structure of one warp's reads of one buffer:
+   [per_lane.(l)] is lane [l]'s address trace in issue order.
+   [step] (32 entries) and [banks] (32 counters, all zero on entry and
+   on exit) are reused across calls. *)
+let warp_steps st per_lane ~step ~banks =
+  let maxlen = Array.fold_left (fun m a -> max m (Array.length a)) 0 per_lane in
+  for k = 0 to maxlen - 1 do
+    (* The k-th issued read of every lane that has one, sorted. *)
+    let m = ref 0 in
+    for l = 0 to Array.length per_lane - 1 do
+      let a = per_lane.(l) in
+      if k < Array.length a then begin
+        let x = a.(k) in
+        let j = ref !m in
+        while !j > 0 && step.(!j - 1) > x do
+          step.(!j) <- step.(!j - 1);
+          decr j
+        done;
+        step.(!j) <- x;
+        incr m
+      end
+    done;
+    st.b_events <- st.b_events + !m;
+    (* Bank-conflict degree over the step's distinct addresses. *)
+    let worst = ref 0 in
+    for j = 0 to !m - 1 do
+      if j = 0 || step.(j) <> step.(j - 1) then begin
+        let bk = bank_of step.(j) in
+        banks.(bk) <- banks.(bk) + 1;
+        if banks.(bk) > !worst then worst := banks.(bk)
+      end
+    done;
+    for j = 0 to !m - 1 do
+      banks.(bank_of step.(j)) <- 0
+    done;
+    if !worst > st.b_bank then st.b_bank <- !worst
+  done;
+  (* Cache-amortised coalescing: a segment fetched at one transaction
+     step stays resident for the warp's later steps (the Fermi L1
+     assumption), so efficiency is the distinct words consumed over the
+     words of the distinct segments fetched — strided-burst row walks
+     amortise to ~1.0 while a transposed walk still wastes 31/32 of
+     each line. *)
+  let all = Array.concat (Array.to_list per_lane) in
+  Array.stable_sort Int.compare all;
+  let distinct = ref 0 and segs = ref 0 in
+  for j = 0 to Array.length all - 1 do
+    if j = 0 || all.(j) <> all.(j - 1) then begin
+      incr distinct;
+      if j = 0 || seg_of all.(j) <> seg_of all.(j - 1) then incr segs
+    end
+  done;
+  st.b_useful <- st.b_useful + !distinct;
+  st.b_fetched <- st.b_fetched + (warp_size * !segs);
+  st.b_distinct <- st.b_distinct + !distinct
 
 let static_cost ?(scalars = []) kernel ~grid =
   match validate kernel with
@@ -864,8 +1060,6 @@ let static_cost ?(scalars = []) kernel ~grid =
       if not (cost_data_independent kernel) then
         Error "thread cost depends on buffer contents"
       else begin
-        let body, sites = annotate kernel.body in
-        let nsites = List.length sites in
         let total = Ndarray.Shape.size grid in
         let stranded = (warp_size - (total mod warp_size)) mod warp_size in
         if total = 0 then
@@ -883,6 +1077,16 @@ let static_cost ?(scalars = []) kernel ~grid =
             }
         else
           try
+            let ev = compile_static ~scalars kernel in
+            let nsites = ev.nsites in
+            let nparams = List.length kernel.params in
+            let t = new_sstate ev ~nparams in
+            let bstats =
+              Array.init nparams (fun _ ->
+                  { touched = false; b_reads = 0; b_burst = 0.; b_threads = 0;
+                    b_row = 0; b_col = 0; b_gather = 0; b_events = 0;
+                    b_distinct = 0; b_useful = 0; b_fetched = 0; b_bank = 0 })
+            in
             (* Phase A: replicate [profile_threads]' thread sample and
                aggregation bit-for-bit, with per-buffer splits. *)
             let samples = min total 64 in
@@ -893,40 +1097,39 @@ let static_cost ?(scalars = []) kernel ~grid =
             and votes_gather = ref 0 in
             let burst_sum = ref 0.0 in
             let n = ref 0 in
-            let bstats : (string, bstat) Hashtbl.t = Hashtbl.create 4 in
             let lin = ref 0 in
             while !lin < total do
-              let gid = Ndarray.Index.unravel grid !lin in
-              let tr = new_strace ~nsites in
-              static_thread ~scalars ~gid body tr;
-              reads := !reads + tr.s_reads;
-              writes := !writes + tr.s_writes;
-              ops := !ops + tr.s_ops;
-              burst_sum := !burst_sum +. burst_of_addrs tr.s_read_addrs;
-              (match classify_addrs tr.s_read_addrs with
+              eval_thread ev t (Ndarray.Index.unravel grid !lin);
+              reads := !reads + t.s_reads;
+              writes := !writes + t.s_writes;
+              ops := !ops + t.s_ops;
+              let a = issued t.s_read_addrs in
+              burst_sum := !burst_sum +. burst_issued a;
+              (match classify_issued a with
               | `Row -> incr votes_row
               | `Column -> incr votes_col
               | `Gather -> incr votes_gather);
-              Hashtbl.iter
-                (fun b l ->
-                  let st = bstat_of bstats b in
-                  st.b_reads <- st.b_reads + List.length !l;
-                  st.b_burst <- st.b_burst +. burst_of_addrs !l;
-                  st.b_threads <- st.b_threads + 1;
-                  match classify_addrs !l with
-                  | `Row -> st.b_row <- st.b_row + 1
-                  | `Column -> st.b_col <- st.b_col + 1
-                  | `Gather -> st.b_gather <- st.b_gather + 1)
-                tr.s_buf_addrs;
+              Array.iteri
+                (fun bi l ->
+                  if l <> [] then begin
+                    let st = bstats.(bi) in
+                    let a = issued l in
+                    st.touched <- true;
+                    st.b_reads <- st.b_reads + Array.length a;
+                    st.b_burst <- st.b_burst +. burst_issued a;
+                    st.b_threads <- st.b_threads + 1;
+                    match classify_issued a with
+                    | `Row -> st.b_row <- st.b_row + 1
+                    | `Column -> st.b_col <- st.b_col + 1
+                    | `Gather -> st.b_gather <- st.b_gather + 1
+                  end)
+                t.buf_addrs;
               incr n;
               lin := !lin + step
             done;
             let nf = float_of_int !n in
             let access =
-              if !votes_gather > !votes_row && !votes_gather > !votes_col
-              then `Gather
-              else if !votes_col > !votes_row then `Column
-              else `Row
+              class_of ~row:!votes_row ~col:!votes_col ~gather:!votes_gather
             in
             (* Phase B: three dense warps (first, middle, last) for the
                cross-lane structure the per-thread sample cannot see. *)
@@ -939,153 +1142,86 @@ let static_cost ?(scalars = []) kernel ~grid =
             let site_ops_sum = Array.make (max 1 nsites) 0 in
             let site_stores_sum = Array.make (max 1 nsites) 0 in
             let lane_count = ref 0 in
+            let step_buf = Array.make warp_size 0 in
+            let banks = Array.make warp_size 0 in
             List.iter
               (fun start ->
                 let lanes = min warp_size (total - start) in
-                let traces =
-                  Array.init lanes (fun l ->
-                      let gid = Ndarray.Index.unravel grid (start + l) in
-                      let tr = new_strace ~nsites in
-                      static_thread ~scalars ~gid body tr;
-                      tr)
-                in
+                (* Each lane's buffer traces and decisions, kept past the
+                   next lane's run. *)
+                let lane_addrs = Array.make lanes [||] in
+                let lane_decisions = Array.make lanes [||] in
+                for l = 0 to lanes - 1 do
+                  eval_thread ev t (Ndarray.Index.unravel grid (start + l));
+                  lane_addrs.(l) <- Array.copy t.buf_addrs;
+                  lane_decisions.(l) <- Array.copy t.decisions;
+                  for s = 0 to nsites - 1 do
+                    site_ops_sum.(s) <- site_ops_sum.(s) + t.site_ops.(s);
+                    site_stores_sum.(s) <-
+                      site_stores_sum.(s) + t.site_stores.(s)
+                  done
+                done;
                 lane_count := !lane_count + lanes;
                 for s = 0 to nsites - 1 do
-                  let dec l =
-                    match Hashtbl.find_opt traces.(l).s_decisions s with
-                    | Some r -> List.rev !r
-                    | None -> []
-                  in
-                  let d0 = dec 0 in
-                  let div = ref false in
+                  let d0 = lane_decisions.(0).(s) in
                   for l = 1 to lanes - 1 do
-                    if dec l <> d0 then div := true
-                  done;
-                  if !div && lanes > 1 then site_div.(s) <- true;
-                  Array.iter
-                    (fun tr ->
-                      site_ops_sum.(s) <-
-                        site_ops_sum.(s) + tr.s_site_ops.(s);
-                      site_stores_sum.(s) <-
-                        site_stores_sum.(s) + tr.s_site_stores.(s))
-                    traces
+                    if lane_decisions.(l).(s) <> d0 then site_div.(s) <- true
+                  done
                 done;
-                let bufs =
-                  Array.fold_left
-                    (fun acc tr ->
-                      Hashtbl.fold (fun b _ acc -> Sset.add b acc)
-                        tr.s_buf_addrs acc)
-                    Sset.empty traces
-                in
-                Sset.iter
-                  (fun b ->
-                    let per_lane =
-                      Array.map
-                        (fun tr ->
-                          match Hashtbl.find_opt tr.s_buf_addrs b with
-                          | Some r -> Array.of_list (List.rev !r)
-                          | None -> [||])
-                        traces
-                    in
-                    let maxlen =
-                      Array.fold_left
-                        (fun m a -> max m (Array.length a))
-                        0 per_lane
-                    in
-                    let st = bstat_of bstats b in
-                    let seen = Hashtbl.create 64 in
-                    for k = 0 to maxlen - 1 do
-                      let step_addrs =
-                        Array.fold_left
-                          (fun acc a ->
-                            if k < Array.length a then a.(k) :: acc else acc)
-                          [] per_lane
-                      in
-                      let distinct = List.sort_uniq compare step_addrs in
-                      st.b_events <- st.b_events + List.length step_addrs;
-                      List.iter
-                        (fun a ->
-                          if not (Hashtbl.mem seen a) then
-                            Hashtbl.add seen a ())
-                        distinct;
-                      let banks = Hashtbl.create 32 in
-                      List.iter
-                        (fun a ->
-                          let bk = ((a mod warp_size) + warp_size) mod warp_size in
-                          let c =
-                            Option.value ~default:0 (Hashtbl.find_opt banks bk)
-                          in
-                          Hashtbl.replace banks bk (c + 1))
-                        distinct;
-                      Hashtbl.iter
-                        (fun _ c -> if c > st.b_bank then st.b_bank <- c)
-                        banks
-                    done;
-                    (* Cache-amortised coalescing: a segment fetched at
-                       one transaction step stays resident for the
-                       warp's later steps (the Fermi L1 assumption), so
-                       efficiency is the distinct words consumed over
-                       the words of the distinct segments fetched —
-                       strided-burst row walks amortise to ~1.0 while a
-                       transposed walk still wastes 31/32 of each line. *)
-                    let segs = Hashtbl.create 16 in
-                    Hashtbl.iter
-                      (fun a () ->
-                        let s = seg_of a in
-                        if not (Hashtbl.mem segs s) then Hashtbl.add segs s ())
-                      seen;
-                    st.b_useful <- st.b_useful + Hashtbl.length seen;
-                    st.b_fetched <-
-                      st.b_fetched + (warp_size * Hashtbl.length segs);
-                    st.b_distinct <- st.b_distinct + Hashtbl.length seen)
-                  bufs)
+                for bi = 0 to nparams - 1 do
+                  if Array.exists (fun a -> a.(bi) <> []) lane_addrs then begin
+                    let st = bstats.(bi) in
+                    st.touched <- true;
+                    warp_steps st
+                      (Array.map (fun a -> issued a.(bi)) lane_addrs)
+                      ~step:step_buf ~banks
+                  end
+                done)
               starts;
             let lanes_f = float_of_int (max 1 !lane_count) in
             let branches =
-              List.map
-                (fun (id, cond) ->
+              List.mapi
+                (fun id cond ->
                   {
                     br_cond = cond;
                     br_divergent = site_div.(id);
                     br_ops = float_of_int site_ops_sum.(id) /. lanes_f;
                     br_stores = float_of_int site_stores_sum.(id) /. lanes_f;
                   })
-                sites
+                ev.sites
             in
             let divergent = List.filter (fun b -> b.br_divergent) branches in
             let buffers =
-              List.filter_map
-                (fun p ->
-                  match (p.kind, Hashtbl.find_opt bstats p.pname) with
-                  | Scalar, _ | _, None -> None
-                  | _, Some st ->
-                      let tf = float_of_int (max 1 st.b_threads) in
-                      Some
-                        {
-                          ba_buffer = p.pname;
-                          ba_reads = float_of_int st.b_reads /. nf;
-                          ba_class =
-                            (if
-                               st.b_gather > st.b_row
-                               && st.b_gather > st.b_col
-                             then `Gather
-                             else if st.b_col > st.b_row then `Column
-                             else `Row);
-                          ba_burst = st.b_burst /. tf;
-                          ba_efficiency =
-                            (if st.b_fetched = 0 then 1.0
-                             else
-                               float_of_int st.b_useful
-                               /. float_of_int st.b_fetched);
-                          ba_overlap =
-                            (if st.b_events = 0 then 0.0
-                             else
-                               1.0
-                               -. float_of_int st.b_distinct
-                                  /. float_of_int st.b_events);
-                          ba_bank_conflict = max 1 st.b_bank;
-                        })
-                kernel.params
+              List.concat
+                (List.mapi
+                   (fun bi p ->
+                     let st = bstats.(bi) in
+                     if p.kind = Scalar || not st.touched then []
+                     else
+                       let tf = float_of_int (max 1 st.b_threads) in
+                       [
+                         {
+                           ba_buffer = p.pname;
+                           ba_reads = float_of_int st.b_reads /. nf;
+                           ba_class =
+                             class_of ~row:st.b_row ~col:st.b_col
+                               ~gather:st.b_gather;
+                           ba_burst = st.b_burst /. tf;
+                           ba_efficiency =
+                             (if st.b_fetched = 0 then 1.0
+                              else
+                                float_of_int st.b_useful
+                                /. float_of_int st.b_fetched);
+                           ba_overlap =
+                             (if st.b_events = 0 then 0.0
+                              else
+                                1.0
+                                -. float_of_int st.b_distinct
+                                   /. float_of_int st.b_events);
+                           ba_bank_conflict = max 1 st.b_bank;
+                         };
+                       ])
+                   kernel.params)
             in
             Ok
               {
