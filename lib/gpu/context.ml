@@ -342,50 +342,46 @@ let derive_cost kernel ~args ~grid =
       c
   | Error _ -> profile_with_span kernel ~args ~grid
 
+(* The cost tables hold data-independent kernels only, so a table hit
+   needs no {!Kir.cost_data_independent} walk: the walk runs on a miss,
+   before anything is derived or inserted. *)
 let cost_of t kernel ~grid ~args =
-  if not (Kir.cost_data_independent kernel) then
-    profile_with_span kernel ~args ~grid
-  else begin
-    let key = cost_key_of kernel ~grid ~args in
-    match Hashtbl.find_opt t.costs key with
-    | Some c ->
-        t.stats <- { t.stats with cost_hits = t.stats.cost_hits + 1 };
-        Obs.Metrics.incr m_cost_hits;
-        Obs.Metrics.incr t.dev.dm_cost_hits;
-        c
-    | None ->
-        let c, global_hit =
+  let key = cost_key_of kernel ~grid ~args in
+  let count_hit () =
+    t.stats <- { t.stats with cost_hits = t.stats.cost_hits + 1 };
+    Obs.Metrics.incr m_cost_hits;
+    Obs.Metrics.incr t.dev.dm_cost_hits
+  in
+  match Hashtbl.find_opt t.costs key with
+  | Some c ->
+      count_hit ();
+      c
+  | None -> (
+      Mutex.lock global_costs_lock;
+      let cached = Hashtbl.find_opt global_costs key in
+      Mutex.unlock global_costs_lock;
+      match cached with
+      | Some c ->
+          (* Same attribution rule as [prepared_of]: the process-wide
+             table answering counts as a hit for fresh contexts too. *)
+          Hashtbl.add t.costs key c;
+          count_hit ();
+          c
+      | None when not (Kir.cost_data_independent kernel) ->
+          profile_with_span kernel ~args ~grid
+      | None ->
+          (* Derived outside the lock: the derivation is pure for
+             data-independent kernels, so a racing duplicate just
+             recomputes the same value. *)
+          let c = derive_cost kernel ~args ~grid in
           Mutex.lock global_costs_lock;
-          let cached = Hashtbl.find_opt global_costs key in
+          if not (Hashtbl.mem global_costs key) then
+            Hashtbl.add global_costs key c;
           Mutex.unlock global_costs_lock;
-          match cached with
-          | Some c -> (c, true)
-          | None ->
-              (* Derived outside the lock: the derivation is pure for
-                 data-independent kernels, so a racing duplicate just
-                 recomputes the same value. *)
-              let c = derive_cost kernel ~args ~grid in
-              Mutex.lock global_costs_lock;
-              if not (Hashtbl.mem global_costs key) then
-                Hashtbl.add global_costs key c;
-              Mutex.unlock global_costs_lock;
-              (c, false)
-        in
-        Hashtbl.add t.costs key c;
-        (* Same attribution rule as [prepared_of]: the process-wide
-           table answering counts as a hit for fresh contexts too. *)
-        if global_hit then begin
-          t.stats <- { t.stats with cost_hits = t.stats.cost_hits + 1 };
-          Obs.Metrics.incr m_cost_hits;
-          Obs.Metrics.incr t.dev.dm_cost_hits
-        end
-        else begin
-          t.stats <-
-            { t.stats with cost_profiles = t.stats.cost_profiles + 1 };
-          Obs.Metrics.incr m_cost_profiles
-        end;
-        c
-  end
+          Hashtbl.add t.costs key c;
+          t.stats <- { t.stats with cost_profiles = t.stats.cost_profiles + 1 };
+          Obs.Metrics.incr m_cost_profiles;
+          c)
 
 let launch ?label ?(split = 1) t kernel ~grid ~args =
   let label = Option.value label ~default:kernel.Kir.kname in
