@@ -133,8 +133,12 @@ let main input builtin from_model generic rows cols emit entry verify
           match plan.Sac_cuda.Plan.params with
           | [ (name, shape) ] ->
               ( name,
+                (* sum_d (d+1)*idx.(d) mod 251: any rank, and at rank 2
+                   the ramp the built-in programs are checked on. *)
                 Ndarray.Tensor.init shape (fun idx ->
-                    (idx.(0) + (2 * idx.(1))) mod 251) )
+                    let v = ref 0 in
+                    Array.iteri (fun d i -> v := !v + ((d + 1) * i)) idx;
+                    !v mod 251) )
           | _ ->
               Printf.eprintf "--emit run expects a single-array-input program\n";
               exit 2
