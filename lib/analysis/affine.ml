@@ -80,44 +80,18 @@ let form_interval grid f =
 exception Not_affine
 
 (* Pass 1: find the width by which each grid dimension is split.  Only
-   [gid/w] and [gid mod w] with a literal positive width register a
-   split; conflicting widths abort extraction. *)
+   [gid/w] and [gid mod w] with a literal width of at least 2 register
+   a split; conflicting widths abort extraction. *)
 let collect_splits (k : Kir.t) =
   let splits = Hashtbl.create 4 in
-  let register d w =
-    if w >= 2 then
-      match Hashtbl.find_opt splits d with
-      | None -> Hashtbl.add splits d w
-      | Some w0 -> if w0 <> w then raise Not_affine
-  in
-  let rec expr = function
-    | Kir.Int _ | Kir.Gid _ | Kir.Param _ | Kir.Var _ -> ()
-    | Kir.Read (_, e) -> expr e
-    | Kir.Bin ((Kir.Div | Kir.Mod), Kir.Gid d, Kir.Int w) when w >= 1 ->
-        register d w
-    | Kir.Bin (_, a, b) ->
-        expr a;
-        expr b
-    | Kir.Select (c, a, b) ->
-        expr c;
-        expr a;
-        expr b
-  in
-  let rec stmt = function
-    | Kir.Let (_, e) -> expr e
-    | Kir.Store (_, i, v) ->
-        expr i;
-        expr v
-    | Kir.If (c, t, f) ->
-        expr c;
-        List.iter stmt t;
-        List.iter stmt f
-    | Kir.For { lo; hi; body; _ } ->
-        expr lo;
-        expr hi;
-        List.iter stmt body
-  in
-  List.iter stmt k.Kir.body;
+  Kir.fold_stmts
+    (fun () -> function
+      | Kir.Bin ((Kir.Div | Kir.Mod), Kir.Gid d, Kir.Int w) when w >= 2 -> (
+          match Hashtbl.find_opt splits d with
+          | None -> Hashtbl.add splits d w
+          | Some w0 -> if w0 <> w then raise Not_affine)
+      | _ -> ())
+    () k.Kir.body;
   splits
 
 (* Pass 2: linear form of an expression under the split map.  [exact]

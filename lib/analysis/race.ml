@@ -36,26 +36,9 @@ let rec eval_expr scalars env gid (e : Kir.expr) : int =
   | Kir.Read (_, idx) ->
       let _ = eval_expr scalars env gid idx in
       0
-  | Kir.Bin (op, a, b) -> (
+  | Kir.Bin (op, a, b) ->
       let x = eval_expr scalars env gid a and y = eval_expr scalars env gid b in
-      match op with
-      | Kir.Add -> x + y
-      | Kir.Sub -> x - y
-      | Kir.Mul -> x * y
-      | Kir.Div ->
-          if y = 0 then raise (Dynamic_error "division by zero") else x / y
-      | Kir.Mod ->
-          if y = 0 then raise (Dynamic_error "modulo by zero") else x mod y
-      | Kir.Min -> min x y
-      | Kir.Max -> max x y
-      | Kir.Lt -> if x < y then 1 else 0
-      | Kir.Le -> if x <= y then 1 else 0
-      | Kir.Gt -> if x > y then 1 else 0
-      | Kir.Ge -> if x >= y then 1 else 0
-      | Kir.Eq -> if x = y then 1 else 0
-      | Kir.Ne -> if x <> y then 1 else 0
-      | Kir.And -> if x <> 0 && y <> 0 then 1 else 0
-      | Kir.Or -> if x <> 0 || y <> 0 then 1 else 0)
+      Kir.apply_binop op x y
   | Kir.Select (c, a, b) ->
       if eval_expr scalars env gid c <> 0 then eval_expr scalars env gid a
       else eval_expr scalars env gid b
@@ -260,7 +243,7 @@ let check_group ?(file = "kir") ~out ~len ~full_cover kernels : Finding.t list =
                      writers.(addr) <- id
                    end))
              infos
-         with Dynamic_error m ->
+         with Dynamic_error m | Kir.Kernel_error m ->
            report
              (Finding.v Finding.Unproven_disjoint Finding.Warning ~file
                 ~where:out "concrete race check of %s aborted: %s" out m));

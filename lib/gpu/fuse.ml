@@ -394,59 +394,14 @@ let partition ~len branches =
       (c, branches)
 
 (* ------------------------------------------------------------------ *)
-(* Consumer analysis                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Close an expression over the grid ids by substituting let
-   definitions (straight-line bodies are single-assignment). *)
-let rec close subst e =
-  let open Kir in
-  match e with
-  | Int _ | Gid _ | Param _ -> e
-  | Var v -> ( match List.assoc_opt v subst with Some d -> d | None -> e)
-  | Read (b, i) -> Read (b, close subst i)
-  | Bin (op, a, b) -> Bin (op, close subst a, close subst b)
-  | Select (c, a, b) -> Select (close subst c, close subst a, close subst b)
-
-let rec expr_reads ~from acc e =
-  let open Kir in
-  match e with
-  | Int _ | Gid _ | Param _ | Var _ -> acc
-  | Read (b, i) ->
-      let acc = expr_reads ~from acc i in
-      if b = from && not (List.exists (fun a -> a = i) acc) then i :: acc
-      else acc
-  | Bin (_, a, b) -> expr_reads ~from (expr_reads ~from acc a) b
-  | Select (c, a, b) ->
-      expr_reads ~from (expr_reads ~from (expr_reads ~from acc c) a) b
-
-let rec subst_expr f e =
-  let open Kir in
-  match f e with
-  | Some e' -> e'
-  | None -> (
-      match e with
-      | Int _ | Gid _ | Param _ | Var _ -> e
-      | Read (b, i) -> Read (b, subst_expr f i)
-      | Bin (op, a, b) -> Bin (op, subst_expr f a, subst_expr f b)
-      | Select (c, a, b) ->
-          Select (subst_expr f c, subst_expr f a, subst_expr f b))
-
-(* ------------------------------------------------------------------ *)
 (* Fused kernel construction                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Variables used (transitively) by [e] within the ordered lets. *)
 let needed_lets lets e =
   let module S = Set.Make (String) in
-  let rec vars acc e =
-    let open Kir in
-    match e with
-    | Int _ | Gid _ | Param _ -> acc
-    | Var v -> S.add v acc
-    | Read (_, i) -> vars acc i
-    | Bin (_, a, b) -> vars (vars acc a) b
-    | Select (c, a, b) -> vars (vars (vars acc c) a) b
+  let vars =
+    Kir.fold_expr (fun acc -> function Kir.Var v -> S.add v acc | _ -> acc)
   in
   let need = ref (vars S.empty e) in
   let keep =
@@ -514,9 +469,9 @@ let instantiate ~c ~prefix ~coords ~addr br =
   in
   let lets = needed_lets br.br_lets br.br_value in
   let body =
-    List.map (fun (v, d) -> Let (prefix ^ v, subst_expr gid_subst d)) lets
+    List.map (fun (v, d) -> Let (prefix ^ v, Kir.map_expr gid_subst d)) lets
   in
-  let value = subst_expr gid_subst br.br_value in
+  let value = Kir.map_expr gid_subst br.br_value in
   ( [ Let (a_v, addr); Let (g_v, Bin (Div, Var a_v, Int c)) ] @ body,
     value )
 
@@ -535,31 +490,34 @@ let fuse_kernel ~stores_to ~len ~producers ~reads_from ~consumer ~grid =
     let lets, stores = straight_line consumer.Kir.body in
     if stores = [] then fail "consumer stores nothing";
     (* Close every read address of the intermediate over the grid ids
-       and check they agree on one residue mod c. *)
+       by substituting let definitions (straight-line bodies are
+       single-assignment) and check they agree on one residue mod c. *)
+    let def subst = function Kir.Var v -> List.assoc_opt v subst | _ -> None in
     let subst =
       List.fold_left
-        (fun subst (v, e) -> (v, close subst e) :: subst)
+        (fun subst (v, e) -> (v, Kir.map_expr (def subst) e) :: subst)
         [] lets
+    in
+    let read acc = function
+      | Kir.Read (b, i) when b = reads_from && not (List.mem i acc) -> i :: acc
+      | _ -> acc
+    in
+    let reads =
+      List.fold_left (fun acc (_, e) -> Kir.fold_expr read acc e) [] lets
     in
     let reads =
       List.fold_left
-        (fun acc (v, e) -> ignore v; expr_reads ~from:reads_from acc e)
-        [] lets
-    in
-    let reads =
-      List.fold_left
-        (fun acc (_, i, v) ->
-          expr_reads ~from:reads_from (expr_reads ~from:reads_from acc i) v)
+        (fun acc (_, i, v) -> Kir.fold_expr read (Kir.fold_expr read acc i) v)
         reads stores
     in
     let reads = List.rev reads in
     if reads = [] then fail "consumer never reads %s" reads_from;
     List.iter
       (fun a ->
-        if expr_reads ~from:reads_from [] a <> [] then
+        if Kir.fold_expr read [] a <> [] then
           fail "read address depends on %s itself" reads_from)
       reads;
-    let closed = List.map (fun a -> (a, close subst a)) reads in
+    let closed = List.map (fun a -> (a, Kir.map_expr (def subst) a)) reads in
     let rho =
       match closed with
       | [] -> assert false
@@ -608,10 +566,10 @@ let fuse_kernel ~stores_to ~len ~producers ~reads_from ~consumer ~grid =
         | _ -> None
       in
       let consumer_body =
-        List.map (fun (v, e) -> Kir.Let (v, subst_expr swap e)) lets
+        List.map (fun (v, e) -> Kir.Let (v, Kir.map_expr swap e)) lets
         @ List.map
             (fun (b, i, v) ->
-              Kir.Store (b, subst_expr swap i, subst_expr swap v))
+              Kir.Store (b, Kir.map_expr swap i, Kir.map_expr swap v))
             stores
       in
       coord_lets @ !read_lets @ consumer_body

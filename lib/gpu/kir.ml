@@ -47,13 +47,15 @@ let bool_of_int i = i <> 0
 
 let int_of_bool b = if b then 1 else 0
 
+exception Kernel_error of string
+
 let apply_binop op a b =
   match op with
   | Add -> a + b
   | Sub -> a - b
   | Mul -> a * b
-  | Div -> if b = 0 then invalid_arg "Kir: division by zero" else a / b
-  | Mod -> if b = 0 then invalid_arg "Kir: modulo by zero" else a mod b
+  | Div -> if b = 0 then raise (Kernel_error "division by zero") else a / b
+  | Mod -> if b = 0 then raise (Kernel_error "modulo by zero") else a mod b
   | Min -> min a b
   | Max -> max a b
   | Lt -> int_of_bool (a < b)
@@ -64,6 +66,57 @@ let apply_binop op a b =
   | Ne -> int_of_bool (a <> b)
   | And -> int_of_bool (bool_of_int a && bool_of_int b)
   | Or -> int_of_bool (bool_of_int a || bool_of_int b)
+
+(* ------------------------------------------------------------------ *)
+(* Traversals                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let rec map_expr f e =
+  match f e with
+  | Some e' -> e'
+  | None -> (
+      match e with
+      | Int _ | Gid _ | Param _ | Var _ -> e
+      | Read (b, i) -> Read (b, map_expr f i)
+      | Bin (op, a, b) -> Bin (op, map_expr f a, map_expr f b)
+      | Select (c, a, b) -> Select (map_expr f c, map_expr f a, map_expr f b))
+
+let rec map_stmts ~bind f stmts =
+  List.map
+    (function
+      | Let (v, e) -> Let (bind v, map_expr f e)
+      | Store (b, i, v) -> Store (b, map_expr f i, map_expr f v)
+      | If (c, t, e) ->
+          If (map_expr f c, map_stmts ~bind f t, map_stmts ~bind f e)
+      | For { var; lo; hi; body } ->
+          For
+            {
+              var = bind var;
+              lo = map_expr f lo;
+              hi = map_expr f hi;
+              body = map_stmts ~bind f body;
+            })
+    stmts
+
+let rec fold_expr f acc e =
+  let acc =
+    match e with
+    | Int _ | Gid _ | Param _ | Var _ -> acc
+    | Read (_, i) -> fold_expr f acc i
+    | Bin (_, a, b) -> fold_expr f (fold_expr f acc a) b
+    | Select (c, a, b) -> fold_expr f (fold_expr f (fold_expr f acc c) a) b
+  in
+  f acc e
+
+let rec fold_stmts f acc stmts =
+  List.fold_left
+    (fun acc -> function
+      | Let (_, e) -> fold_expr f acc e
+      | Store (_, i, v) -> fold_expr f (fold_expr f acc i) v
+      | If (c, t, e) -> fold_stmts f (fold_stmts f (fold_expr f acc c) t) e
+      | For { lo; hi; body; _ } ->
+          fold_stmts f (fold_expr f (fold_expr f acc lo) hi) body)
+    acc stmts
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -195,8 +248,6 @@ type prepared = {
 
 type compiled = { scratch_size : int; run : int array -> int array -> unit }
 (* [run scratch gid] *)
-
-exception Kernel_error of string
 
 let param_positions kernel =
   (* Scalars and buffers get independent position spaces so [bind] can

@@ -6,11 +6,19 @@
     and writes flat device buffers through linear addresses, exactly
     like the generated code in the paper's Figure 11.
 
-    The IR has three consumers:
-    - {!compile} turns it into fast OCaml closures for functional
+    The traversals below ({!map_expr}, {!map_stmts}, {!fold_expr},
+    {!fold_stmts}) are the one place that knows the IR's shape: the
+    rewrites and analyses of other layers (the optimizer's grid rules,
+    producer/consumer fusion, the ArrayOL chain's port renaming, affine
+    split detection) are hooks over them, and {!apply_binop} is the one
+    operator table.  Only walks that carry semantics of their own keep
+    a hand-written recursion — {!validate}'s scoping, the evaluators
+    below, and the abstract interpreters of the analysis layer:
+    - {!compile} turns a kernel into fast OCaml closures for functional
       (bit-exact) execution on the simulator;
     - {!profile_threads} interprets sampled threads with instrumented
-      reads/writes to drive the analytic timing model;
+      reads/writes to drive the analytic timing model, and
+      {!static_cost} derives the same profile without executing;
     - the {!Kir_c} printer renders it as CUDA C, OpenCL C and Metal
       Shading Language source text, one dialect record per target. *)
 
@@ -60,6 +68,41 @@ type t = {
 
 type arg = Scalar_arg of int | Buffer_arg of Buffer.t
 
+exception Kernel_error of string
+(** Raised during execution on division/modulo by zero or out-of-bounds
+    buffer access (the latter only under interpretation). *)
+
+val apply_binop : binop -> int -> int -> int
+(** The operator semantics shared by every evaluator: 63-bit OCaml
+    integers, comparisons and [And]/[Or] yield 0 or 1.  Raises
+    [Kernel_error "division by zero"] or [Kernel_error "modulo by
+    zero"] on a zero divisor. *)
+
+(** {1 Traversals} *)
+
+val map_expr : (expr -> expr option) -> expr -> expr
+(** Top-down rewrite: the hook sees each node before its children; [Some
+    e'] replaces the node without descending into it (so [e'] is not
+    rewritten again), [None] keeps the constructor and rewrites the
+    children. *)
+
+val map_stmts :
+  bind:(string -> string) -> (expr -> expr option) -> stmt list -> stmt list
+(** Rewrite every expression of the statements with {!map_expr}, and
+    rename each [Let] and [For] binder through [bind].  Uses of the
+    binders are [Var] nodes the hook must rename itself; buffer names
+    and [Param]s are left alone. *)
+
+val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** Post-order fold: children left to right (a [Read]'s index; [Bin]'s
+    operands; [Select]'s condition, then arm, else arm), then the node
+    itself. *)
+
+val fold_stmts : ('a -> expr -> 'a) -> 'a -> stmt list -> 'a
+(** {!fold_expr} over every expression of the statements in program
+    order: a [Store]'s index before its value, an [If]'s condition
+    before its branches, a [For]'s bounds before its body. *)
+
 val validate : t -> (unit, string) result
 (** Static checks: identifiers bound before use, unique parameter
     names, reads only from buffers, stores only to [Out_buffer]s, [Gid]
@@ -67,10 +110,6 @@ val validate : t -> (unit, string) result
 
 val check_args : t -> (string * arg) list -> (unit, string) result
 (** Arguments match the parameter list in names and kinds. *)
-
-exception Kernel_error of string
-(** Raised during execution on division/modulo by zero or out-of-bounds
-    buffer access (the latter only under interpretation). *)
 
 type prepared
 (** A kernel compiled to closures but not yet bound to arguments: the

@@ -234,19 +234,6 @@ let moves st =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay init rules =
-  List.fold_left
-    (fun st_opt rule ->
-      match st_opt with
-      | None -> None
-      | Some st -> (
-          match
-            List.find_opt (fun c -> c.Optimizer.Search.rule = rule) (moves st)
-          with
-          | None -> None
-          | Some c -> c.Optimizer.Search.apply ()))
-    (Some init) rules
-
 let tune ?device (gen : Codegen.generated) =
   Obs.Tracer.with_span ~cat:"mde" "mde.autotune" @@ fun () ->
   let rows, cols =
@@ -278,7 +265,7 @@ let tune ?device (gen : Codegen.generated) =
           base_us = o.Optimizer.Search.base_cost;
         })
   in
-  match replay init tuned.Optimizer.Cache.rules with
+  match Optimizer.Search.replay ~moves init tuned.Optimizer.Cache.rules with
   | Some st ->
       let g =
         if tuned.Optimizer.Cache.rules = [] then st.gen

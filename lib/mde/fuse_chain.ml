@@ -14,40 +14,16 @@
 
 open Ndarray
 
-let rec rename_expr renames e =
-  match e with
-  | Gpu.Kir.Int _ | Gpu.Kir.Gid _ | Gpu.Kir.Param _ | Gpu.Kir.Var _ -> e
-  | Gpu.Kir.Read (b, a) ->
-      let b = match List.assoc_opt b renames with Some b' -> b' | None -> b in
-      Gpu.Kir.Read (b, rename_expr renames a)
-  | Gpu.Kir.Bin (op, a, b) ->
-      Gpu.Kir.Bin (op, rename_expr renames a, rename_expr renames b)
-  | Gpu.Kir.Select (c, a, b) ->
-      Gpu.Kir.Select
-        (rename_expr renames c, rename_expr renames a, rename_expr renames b)
-
-let rec rename_stmt renames s =
-  match s with
-  | Gpu.Kir.Let (v, e) -> Gpu.Kir.Let (v, rename_expr renames e)
-  | Gpu.Kir.Store (b, a, e) ->
-      Gpu.Kir.Store (b, rename_expr renames a, rename_expr renames e)
-  | Gpu.Kir.If (c, t, f) ->
-      Gpu.Kir.If
-        ( rename_expr renames c,
-          List.map (rename_stmt renames) t,
-          List.map (rename_stmt renames) f )
-  | Gpu.Kir.For { var; lo; hi; body } ->
-      Gpu.Kir.For
-        {
-          var;
-          lo = rename_expr renames lo;
-          hi = rename_expr renames hi;
-          body = List.map (rename_stmt renames) body;
-        }
-
 (* Rename the producer's input buffers (params and reads) so they
    cannot collide with the consumer's parameters after inlining. *)
 let rename_inputs renames (k : Gpu.Kir.t) =
+  let rec rename = function
+    | Gpu.Kir.Read (b, a) ->
+        Option.map
+          (fun b' -> Gpu.Kir.Read (b', Gpu.Kir.map_expr rename a))
+          (List.assoc_opt b renames)
+    | _ -> None
+  in
   {
     k with
     Gpu.Kir.params =
@@ -57,7 +33,7 @@ let rename_inputs renames (k : Gpu.Kir.t) =
           | Gpu.Kir.In_buffer, Some pname' -> { p with Gpu.Kir.pname = pname' }
           | _ -> p)
         k.Gpu.Kir.params;
-    body = List.map (rename_stmt renames) k.Gpu.Kir.body;
+    body = Gpu.Kir.map_stmts ~bind:Fun.id rename k.Gpu.Kir.body;
   }
 
 let port_rename pi ip = pi ^ "_" ^ ip

@@ -9,35 +9,14 @@ open Gpu
 (* Map every [Gid d] through [gid] and suffix every let-/loop-bound
    name (and its uses) with [sfx]; parameters and buffer names are
    global to the kernel and stay as they are. *)
-let rec map_expr ~gid ~sfx (e : Kir.expr) =
-  match e with
-  | Kir.Int _ | Kir.Param _ -> e
-  | Kir.Gid d -> gid d
-  | Kir.Var v -> Kir.Var (v ^ sfx)
-  | Kir.Read (b, a) -> Kir.Read (b, map_expr ~gid ~sfx a)
-  | Kir.Bin (op, a, b) -> Kir.Bin (op, map_expr ~gid ~sfx a, map_expr ~gid ~sfx b)
-  | Kir.Select (c, a, b) ->
-      Kir.Select
-        (map_expr ~gid ~sfx c, map_expr ~gid ~sfx a, map_expr ~gid ~sfx b)
-
-let rec map_stmt ~gid ~sfx (s : Kir.stmt) =
-  match s with
-  | Kir.Let (v, e) -> Kir.Let (v ^ sfx, map_expr ~gid ~sfx e)
-  | Kir.Store (b, a, e) ->
-      Kir.Store (b, map_expr ~gid ~sfx a, map_expr ~gid ~sfx e)
-  | Kir.If (c, t, f) ->
-      Kir.If
-        ( map_expr ~gid ~sfx c,
-          List.map (map_stmt ~gid ~sfx) t,
-          List.map (map_stmt ~gid ~sfx) f )
-  | Kir.For { var; lo; hi; body } ->
-      Kir.For
-        {
-          var = var ^ sfx;
-          lo = map_expr ~gid ~sfx lo;
-          hi = map_expr ~gid ~sfx hi;
-          body = List.map (map_stmt ~gid ~sfx) body;
-        }
+let map_body ~gid ~sfx body =
+  Kir.map_stmts
+    ~bind:(fun v -> v ^ sfx)
+    (function
+      | Kir.Gid d -> Some (gid d)
+      | Kir.Var v -> Some (Kir.Var (v ^ sfx))
+      | _ -> None)
+    body
 
 let ic_suffix = "_ic"
 
@@ -58,7 +37,7 @@ let interchange ((k : Kir.t), grid) =
       else k.Kir.kname ^ ic_suffix
     in
     Some
-      ( { k with Kir.kname; body = List.map (map_stmt ~gid ~sfx:"") k.Kir.body },
+      ( { k with Kir.kname; body = map_body ~gid ~sfx:"" k.Kir.body },
         [| grid.(1); grid.(0) |] )
 
 let tile ~factor ((k : Kir.t), grid) =
@@ -75,7 +54,7 @@ let tile ~factor ((k : Kir.t), grid) =
                      Kir.Int i)
           else Kir.Gid dim
         in
-        List.map (map_stmt ~gid ~sfx:(Printf.sprintf "_t%d" i)) k.Kir.body
+        map_body ~gid ~sfx:(Printf.sprintf "_t%d" i) k.Kir.body
       in
       Some
         ( {

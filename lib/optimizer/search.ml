@@ -75,3 +75,12 @@ let run ?(beam = 2) ?(max_depth = 6) ~cost ~fingerprint ~moves init =
     explored = !explored;
     rejected = !rejected;
   }
+
+let replay ~moves init rules =
+  List.fold_left
+    (fun plan rule ->
+      Option.bind plan (fun p ->
+          Option.bind
+            (List.find_opt (fun c -> c.rule = rule) (moves p))
+            (fun c -> c.apply ())))
+    (Some init) rules

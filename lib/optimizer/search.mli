@@ -49,3 +49,10 @@ val run :
     smaller rule paths).  Updates the [optimizer.candidates],
     [optimizer.rules_applied] and [optimizer.verify_rejections]
     counters. *)
+
+val replay : moves:('p -> 'p candidate list) -> 'p -> string list -> 'p option
+(** [replay ~moves init rules] re-applies a recorded rule path (such as
+    a memoised [path]) to [init]: at each step it applies the first
+    move of the current plan labelled with the next rule, so every
+    step passes the caller's gates again.  [None] when some rule is not
+    offered or its [apply] rejects. *)

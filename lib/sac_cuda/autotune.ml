@@ -190,21 +190,6 @@ let moves ~device st =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay ~device init rules =
-  List.fold_left
-    (fun st_opt rule ->
-      match st_opt with
-      | None -> None
-      | Some st -> (
-          match
-            List.find_opt
-              (fun c -> c.Optimizer.Search.rule = rule)
-              (moves ~device st)
-          with
-          | None -> None
-          | Some c -> c.Optimizer.Search.apply ()))
-    (Some init) rules
-
 let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
   Obs.Tracer.with_span ~cat:"sac" "sac.autotune" @@ fun () ->
   let rows, cols =
@@ -234,6 +219,9 @@ let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
   (* Replay the memoised path on this caller's own plan (which may
      carry different labels); each step re-verifies.  A diverging
      replay falls back to the unoptimised plan. *)
-  match replay ~device init tuned.Optimizer.Cache.rules with
+  match
+    Optimizer.Search.replay ~moves:(moves ~device) init
+      tuned.Optimizer.Cache.rules
+  with
   | Some st -> (st.plan, st.fstats, tuned.Optimizer.Cache.rules)
   | None -> (p, Gpu.Fuse.no_stats, [])

@@ -321,6 +321,20 @@ let test_race_branch_uniform_cover () =
   in
   Alcotest.(check int) "no findings" 0 (List.length fs)
 
+(* A non-affine address whose divisor evaluates to zero: the concrete
+   fallback stops at the first work-item and says why. *)
+let test_race_zero_divisor_aborts () =
+  let idx =
+    Kir.Bin (Kir.Div, Kir.Gid 0, Kir.Bin (Kir.Sub, Kir.Gid 0, Kir.Gid 0))
+  in
+  let fs =
+    Analysis.Race.check_group ~out:"out" ~len:64 ~full_cover:false
+      [ (store_kernel "div0" idx, [| 64 |]) ]
+  in
+  Alcotest.(check (list string)) "abort finding"
+    [ "concrete race check of out aborted: division by zero" ]
+    (List.map (fun f -> f.Analysis.Finding.what) fs)
+
 (* ---------- residency ---------- *)
 
 let test_residency_clean () =
@@ -917,6 +931,8 @@ let () =
             test_affine_branch_uniform;
           Alcotest.test_case "branch-uniform-cover" `Quick
             test_race_branch_uniform_cover;
+          Alcotest.test_case "zero-divisor-aborts" `Quick
+            test_race_zero_divisor_aborts;
         ] );
       ( "residency",
         [

@@ -145,6 +145,82 @@ let test_validate_dup_params () =
   Alcotest.(check bool) "duplicate params rejected" true
     (Result.is_error (Kir.validate k))
 
+(* ---------- Kir traversals ---------- *)
+
+let test_fold_expr_order () =
+  let e =
+    Kir.(
+      Select
+        ( Bin (Lt, Read ("a", Gid 0), Var "x"),
+          Bin (Add, Read ("b", Bin (Mul, Var "y", Int 2)), Param "p"),
+          Int 7 ))
+  in
+  let label = function
+    | Kir.Int n -> string_of_int n
+    | Kir.Gid d -> Printf.sprintf "gid%d" d
+    | Kir.Param p -> "param " ^ p
+    | Kir.Var v -> "var " ^ v
+    | Kir.Read (b, _) -> "read " ^ b
+    | Kir.Bin _ -> "bin"
+    | Kir.Select _ -> "select"
+  in
+  Alcotest.(check (list string)) "post-order, children left to right"
+    [ "gid0"; "read a"; "var x"; "bin"; "var y"; "2"; "bin"; "read b";
+      "param p"; "bin"; "7"; "select" ]
+    (List.rev (Kir.fold_expr (fun acc e -> label e :: acc) [] e))
+
+let test_map_stmts_renames_binders () =
+  let body =
+    Kir.
+      [
+        Let ("t", Bin (Add, Param "n", Read ("src", Gid 0)));
+        For
+          {
+            var = "i";
+            lo = Int 0;
+            hi = Param "n";
+            body = [ Store ("dst", Bin (Add, Var "t", Var "i"), Var "i") ];
+          };
+        If (Var "t", [ Let ("u", Var "t") ], []);
+      ]
+  in
+  let renamed =
+    Kir.map_stmts
+      ~bind:(fun v -> v ^ "_r")
+      (function Kir.Var v -> Some (Kir.Var (v ^ "_r")) | _ -> None)
+      body
+  in
+  Alcotest.(check bool) "binders, uses renamed; params, buffers kept" true
+    (renamed
+    = Kir.
+        [
+          Let ("t_r", Bin (Add, Param "n", Read ("src", Gid 0)));
+          For
+            {
+              var = "i_r";
+              lo = Int 0;
+              hi = Param "n";
+              body =
+                [ Store ("dst", Bin (Add, Var "t_r", Var "i_r"), Var "i_r") ];
+            };
+          If (Var "t_r", [ Let ("u_r", Var "t_r") ], []);
+        ])
+
+let test_map_expr_some_stops_descent () =
+  let seen = ref [] in
+  let hook e =
+    seen := e :: !seen;
+    match e with
+    | Kir.Read (_, _) -> Some Kir.(Bin (Add, Gid 0, Int 1))
+    | Kir.Gid 0 -> Some (Kir.Gid 1)
+    | _ -> None
+  in
+  let e = Kir.(Bin (Mul, Read ("a", Var "i"), Gid 0)) in
+  Alcotest.(check bool) "replacement kept as returned" true
+    (Kir.map_expr hook e = Kir.(Bin (Mul, Bin (Add, Gid 0, Int 1), Gid 1)));
+  Alcotest.(check bool) "hook never sees the read's index" false
+    (List.mem (Kir.Var "i") !seen)
+
 (* ---------- Execution ---------- *)
 
 let test_vadd_executes () =
@@ -258,23 +334,39 @@ let test_for_loop_kernel () =
     (Array.init (n * w) (fun i -> 100 + i))
     host
 
+(* A zero divisor raises [Kernel_error] whichever evaluator meets it.
+   The static evaluator blocks on every launch here, so [Context]'s
+   cost derivation falls back to instrumented interpretation, which
+   raises before the timing-only mode would skip execution. *)
 let test_division_by_zero () =
-  let k =
+  let kernel divisor =
     Kir.
       {
         kname = "div0";
-        params = [ { pname = "o"; kind = Out_buffer } ];
+        params =
+          [
+            { pname = "p"; kind = Scalar };
+            { pname = "o"; kind = Out_buffer };
+          ];
         grid_rank = 1;
-        body = [ Store ("o", Gid 0, Bin (Div, Int 1, Int 0)) ];
+        body = [ Store ("o", Gid 0, Bin (Div, Int 1, divisor)) ];
       }
   in
-  let c = ctx () in
-  let o = Context.alloc c ~name:"o" 1 in
-  Alcotest.(check bool) "raises" true
-    (try
-       Context.launch c k ~grid:[| 1 |] ~args:[ ("o", Kir.Buffer_arg o) ];
-       false
-     with Kir.Kernel_error _ | Invalid_argument _ -> true)
+  List.iter
+    (fun (what, mode, divisor) ->
+      let c = Context.create ~mode Device.gtx480 in
+      let o = Context.alloc c ~name:"o" 1 in
+      Alcotest.(check bool) what true
+        (try
+           Context.launch c (kernel divisor) ~grid:[| 1 |]
+             ~args:[ ("p", Kir.Scalar_arg 0); ("o", Kir.Buffer_arg o) ];
+           false
+         with Kir.Kernel_error m -> m = "division by zero"))
+    [
+      ("literal divisor", Context.Sequential, Kir.Int 0);
+      ("zero scalar divisor", Context.Sequential, Kir.Param "p");
+      ("zero scalar divisor, timing only", Context.Timing_only, Kir.Param "p");
+    ]
 
 (* ---------- Cost profiling ---------- *)
 
@@ -1945,6 +2037,14 @@ let () =
           Alcotest.test_case "scalar as buffer" `Quick
             test_validate_scalar_as_buffer;
           Alcotest.test_case "dup params" `Quick test_validate_dup_params;
+        ] );
+      ( "kir-traversal",
+        [
+          Alcotest.test_case "fold_expr order" `Quick test_fold_expr_order;
+          Alcotest.test_case "map_stmts renames binders" `Quick
+            test_map_stmts_renames_binders;
+          Alcotest.test_case "map_expr Some stops descent" `Quick
+            test_map_expr_some_stops_descent;
         ] );
       ( "execution",
         [
