@@ -2038,7 +2038,7 @@ let () =
             test_validate_scalar_as_buffer;
           Alcotest.test_case "dup params" `Quick test_validate_dup_params;
         ] );
-      ( "kir-traversal",
+      ( "kir-walk",
         [
           Alcotest.test_case "fold_expr order" `Quick test_fold_expr_order;
           Alcotest.test_case "map_stmts renames binders" `Quick
