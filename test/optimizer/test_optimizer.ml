@@ -335,6 +335,27 @@ let test_mde_auto_bit_identical () =
       ("b_out", Video.Frame.B);
     ]
 
+(* The tuner's objective is the device time Chain.run models for the
+   same program in a timing-only context, bit for bit. *)
+let test_mde_objective_is_chain_run () =
+  let off = Mde.Chain.transform_exn ~opt:Optimizer.Mode.Off (mde_model ()) in
+  let fused = Mde.Chain.transform_exn ~opt:Optimizer.Mode.Fuse (mde_model ()) in
+  let tuned, _, _ = Mde.Autotune.tune off in
+  let frame = Video.Framegen.frame { Video.Format.name = "t"; rows; cols } 3 in
+  let inputs =
+    List.map
+      (fun (port, ch) -> (port, Video.Frame.plane frame ch))
+      [ ("r_in", Video.Frame.R); ("g_in", Video.Frame.G); ("b_in", Video.Frame.B) ]
+  in
+  List.iter
+    (fun (name, gen) ->
+      let ctx = Opencl.Runtime.create_context ~mode:Gpu.Context.Timing_only () in
+      ignore (Mde.Chain.run ~liveness:false ctx gen ~inputs);
+      Alcotest.(check string) (name ^ ": modelled_us = Chain.run elapsed")
+        (Printf.sprintf "%h" (Opencl.Runtime.elapsed_us ctx))
+        (Printf.sprintf "%h" (Mde.Autotune.modelled_us gen)))
+    [ ("off", off); ("fuse", fused); ("auto", tuned) ]
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -385,5 +406,7 @@ let () =
             test_mde_auto_transform_traces;
           Alcotest.test_case "tuned program bit-identical" `Quick
             test_mde_auto_bit_identical;
+          Alcotest.test_case "objective = Chain.run timing" `Quick
+            test_mde_objective_is_chain_run;
         ] );
     ]
