@@ -151,13 +151,5 @@ let candidates (g : Codegen.generated) =
     g.Codegen.connections
 
 let optimize (g : Codegen.generated) =
-  let rec go g stats =
-    let fused =
-      List.find_map (fun c -> try_fuse g c) g.Codegen.connections
-    in
-    match fused with
-    | Some (g', s) -> go g' (Gpu.Fuse.add_stats stats s)
-    | None -> (g, stats)
-  in
-  let g, stats = go g Gpu.Fuse.no_stats in
+  let g, stats = Optimizer.Tuner.fuse_fixpoint candidates g in
   ((if stats.Gpu.Fuse.kernels_eliminated > 0 then Codegen.render g else g), stats)

@@ -5,8 +5,9 @@
     its consumer via {!Gpu.Fuse.fuse_kernel}: the intermediate array's
     device buffer, its store/reload traffic and the producer launch
     disappear.  Producer input ports are renamed [pi ^ "_" ^ ip] and
-    rewired to the fused task; sources are re-rendered.  Runs to a
-    fixpoint; every fused task is re-checked with {!Verify.check} and
+    rewired to the fused task.  {!optimize} runs the candidates to a
+    fixpoint ({!Optimizer.Tuner.fuse_fixpoint}) and re-renders the
+    sources once; every fused task is re-checked with {!Verify.check} and
     any finding vetoes that rewrite. *)
 
 val candidates :

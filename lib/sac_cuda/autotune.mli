@@ -1,19 +1,15 @@
 (** Cost-guided plan autotuning for the SAC -> CUDA pipeline
-    ([--opt auto]).
+    ([--opt auto]): the SAC route of {!Optimizer.Tuner}, which owns the
+    move repertoire and the cached tune driver.
 
-    Explores rewrite sequences over a compiled {!Plan.t} — single-pair
-    {b fuse} steps (the {!Fuse_plan} candidates), a fuse-to-fixpoint
-    step (so the fixed [--fuse] plan is always an explored candidate,
-    and the tuned plan can never score worse than it), {b fission}
-    (undoing the previous rewrite), per-item loop {b interchange} and
-    {b tile} (thread-coarsening) — scoring each candidate with the
-    analytic device model in a timing-only context.  Every candidate
-    re-verifies through the [lib/analysis] gates before it is eligible.
-
-    Winners are memoised process-wide per (pipeline, shape, device,
-    plan digest) in {!Optimizer.Cache} as {e rule paths}: a later
-    compile of the same program (possibly with different profiling
-    labels) replays the path on its own plan, re-verifying each step. *)
+    This route supplies the {!Fuse_plan} pair candidates, one rewrite
+    site per [Device_withloop] item (tile moves only while the item's
+    grid undersaturates the device), label-stripped plan digests, and
+    the cost: the analytic device model in a timing-only context.
+    Every rewritten item re-verifies through the [lib/analysis] gates
+    before it is eligible.  Winners are memoised process-wide per
+    (pipeline, shape, device, plan digest) as rule paths, replayed on
+    each caller's own plan. *)
 
 type state = {
   plan : Plan.t;

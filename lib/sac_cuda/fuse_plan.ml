@@ -170,19 +170,5 @@ let candidates (p : Plan.t) =
   in
   scan 0 []
 
-let try_fuse_one (p : Plan.t) =
-  let rec first = function
-    | [] -> None
-    | (_, apply) :: rest -> (
-        match apply () with Some _ as r -> r | None -> first rest)
-  in
-  first (candidates p)
-
 (* Fuse until no candidate remains (a chain A -> B -> C fuses twice). *)
-let optimize (p : Plan.t) =
-  let rec go p stats =
-    match try_fuse_one p with
-    | Some (p', s) -> go p' (Gpu.Fuse.add_stats stats s)
-    | None -> (p, stats)
-  in
-  go p Gpu.Fuse.no_stats
+let optimize (p : Plan.t) = Optimizer.Tuner.fuse_fixpoint candidates p
