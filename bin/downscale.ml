@@ -99,10 +99,11 @@ let apply_domains = function
 
 let main rows cols frames pipeline out_dir domains devices device_profile opt
     perf_lint trace metrics =
-  if cols mod 8 <> 0 || rows mod 9 <> 0 then begin
-    Printf.eprintf "rows must be a multiple of 9 and cols of 8\n";
-    exit 2
-  end;
+  (match Video.Format.check ~rows ~cols with
+  | Ok () -> ()
+  | Error m ->
+      Printf.eprintf "downscale: %s\n" m;
+      exit 2);
   if devices < 1 then begin
     Printf.eprintf "downscale: --devices must be positive\n";
     exit 2

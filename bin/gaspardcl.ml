@@ -95,7 +95,12 @@ let main rows cols out_dir show_model load save_model lint perf_lint opt
   let model =
     match load with
     | Some path -> Mde.Marte.allocate_data_parallel (Mde.Model_io.load path)
-    | None -> Mde.Chain.downscaler_model ~rows ~cols
+    | None -> (
+        match Video.Format.check ~rows ~cols with
+        | Ok () -> Mde.Chain.downscaler_model ~rows ~cols
+        | Error m ->
+            Printf.eprintf "gaspardcl: %s\n" m;
+            exit 2)
   in
   (match save_model with
   | Some path ->

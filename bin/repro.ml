@@ -234,6 +234,13 @@ let run_all scale =
   run_validate ()
 
 let with_domains f domains opt perf_lint trace metrics scale =
+  (match
+     Video.Format.check ~rows:scale.Study.Scale.rows ~cols:scale.Study.Scale.cols
+   with
+  | Ok () -> ()
+  | Error m ->
+      Printf.eprintf "repro: %s\n" m;
+      exit 2);
   apply_domains domains;
   Optimizer.Mode.set_default opt;
   Analysis.Config.set_perf_mode perf_lint;

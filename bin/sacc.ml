@@ -43,6 +43,11 @@ let main input builtin from_model generic rows cols emit entry verify
       match (input, builtin, from_model) with
       | Some path, _, _ -> read_file path
       | None, Some name, _ -> (
+          (match Video.Format.check ~rows ~cols with
+          | Ok () -> ()
+          | Error m ->
+              Printf.eprintf "sacc: %s\n" m;
+              exit 2);
           match builtin_source name rows cols with
           | Some src -> src
           | None ->

@@ -73,10 +73,11 @@ let run_pipeline ~pipeline ~fmt ~streams ~rate ~duration ~policy ~batch_max
 let main streams rate duration policy batch_max window_us workers capacity
     deadline_ms slo_ms slow_dump pipeline rows cols opt domains devices
     device_profile trace metrics =
-  if cols mod 8 <> 0 || rows mod 9 <> 0 then begin
-    Printf.eprintf "served: rows must be a multiple of 9 and cols of 8\n";
-    exit 2
-  end;
+  (match Video.Format.check ~rows ~cols with
+  | Ok () -> ()
+  | Error m ->
+      Printf.eprintf "served: %s\n" m;
+      exit 2);
   if streams < 1 || rate <= 0. || duration <= 0. then begin
     Printf.eprintf "served: --streams, --rate and --duration must be positive\n";
     exit 2

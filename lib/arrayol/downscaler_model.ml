@@ -1,12 +1,15 @@
 open Ndarray
 
-let check name cond =
-  if not cond then invalid_arg ("Downscaler_model." ^ name)
+let check name ~rows ~cols cond =
+  if not cond then
+    invalid_arg (Printf.sprintf "Downscaler_model.%s (got %dx%d)" name rows cols)
 
 (* Figure 10's tiler specification boxes, generalised from 1080x1920 to
    any frame size. *)
 let horizontal ~rows ~cols =
-  check "horizontal: cols mod 8 = 0" (cols mod 8 = 0 && cols > 0 && rows > 0);
+  check "horizontal: cols must be a positive multiple of 8 and rows positive"
+    ~rows ~cols
+    (cols mod 8 = 0 && cols > 0 && rows > 0);
   let reps = cols / 8 in
   let inner =
     Model.Elementary
@@ -49,7 +52,9 @@ let horizontal ~rows ~cols =
     }
 
 let vertical ~rows ~cols =
-  check "vertical: rows mod 9 = 0" (rows mod 9 = 0 && cols > 0 && rows > 0);
+  check "vertical: rows must be a positive multiple of 9 and cols positive"
+    ~rows ~cols
+    (rows mod 9 = 0 && cols > 0 && rows > 0);
   let reps = rows / 9 in
   let inner =
     Model.Elementary

@@ -103,12 +103,12 @@ let runner_of key =
       r
 
 let create ?opt ~id ~pipeline fmt =
-  if fmt.Video.Format.rows mod 9 <> 0 || fmt.Video.Format.cols mod 8 <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Serve.Session.create: %dx%d is not downscalable (rows must be a \
-          multiple of 9, cols of 8)"
-         fmt.Video.Format.rows fmt.Video.Format.cols);
+  (match
+     Video.Format.check ~rows:fmt.Video.Format.rows
+       ~cols:fmt.Video.Format.cols
+   with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Serve.Session.create: " ^ m));
   let opt = match opt with Some m -> m | None -> Optimizer.Mode.default () in
   let key =
     {

@@ -6,6 +6,15 @@ let qcif = { name = "QCIF"; rows = 144; cols = 176 }
 
 let hdtv_1080 = { name = "HDTV-1080"; rows = 1080; cols = 1920 }
 
+let check ~rows ~cols =
+  if rows > 0 && rows mod 9 = 0 && cols > 0 && cols mod 8 = 0 then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "a %dx%d frame cannot be downscaled: rows must be a positive \
+          multiple of 9 and cols a positive multiple of 8"
+         rows cols)
+
 let after_horizontal f =
   if f.cols mod 8 <> 0 then
     invalid_arg "Format.after_horizontal: width not a multiple of 8";

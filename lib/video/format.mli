@@ -15,6 +15,11 @@ val qcif : t
 val hdtv_1080 : t
 (** The evaluation's input format: 1080x1920 (Section VIII). *)
 
+val check : rows:int -> cols:int -> (unit, string) result
+(** [Ok ()] when the downscaler accepts a [rows] x [cols] frame (rows a
+    positive multiple of 9, cols a positive multiple of 8); otherwise
+    an [Error] saying what is wrong, for drivers to report. *)
+
 val after_horizontal : t -> t
 (** Result of the horizontal filter: columns scaled by 3/8.  Raises
     [Invalid_argument] when the width is not a multiple of 8. *)
