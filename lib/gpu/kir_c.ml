@@ -113,21 +113,39 @@ let per_axis_ids buf grid =
   in
   Printf.bprintf buf "    if (%s) return;\n" (String.concat " || " guards)
 
+(* [base] when no parameter, [Let] or [For] of the kernel is named so,
+   else the first free [base_N]: a declared id must not redeclare one
+   of the kernel's own names. *)
+let fresh_name (k : Kir.t) base =
+  let bound = Hashtbl.create 8 in
+  let bind x =
+    Hashtbl.replace bound x ();
+    x
+  in
+  List.iter (fun (p : Kir.param) -> ignore (bind p.Kir.pname)) k.Kir.params;
+  ignore (Kir.map_stmts ~bind (fun _ -> None) k.Kir.body);
+  let rec free n =
+    let v = if n = 0 then base else Printf.sprintf "%s_%d" base n in
+    if Hashtbl.mem bound v then free (n + 1) else v
+  in
+  free 0
+
 (* Work-item ids are linearised and decomposed with %-and-/ chains, as
    in the paper's Figure 11 ("tlIter[0]=iGID%%1080; ..."). *)
-let linear_ids buf l grid =
+let linear_ids buf l grid k =
   Option.iter (Printf.bprintf buf "    int iGID = %s;\n") l.global_id;
   Printf.bprintf buf "    if (iGID >= %d%s) return;\n"
     (Ndarray.Shape.size grid) l.suffix;
-  if l.var <> "iGID" then Printf.bprintf buf "    int %s = int(iGID);\n" l.var;
+  let var = if l.var = "iGID" then l.var else fresh_name k l.var in
+  if var <> "iGID" then Printf.bprintf buf "    int %s = int(iGID);\n" var;
   let stride = ref 1 in
   for d = Ndarray.Shape.rank grid - 1 downto 0 do
     if !stride = 1 then
-      Printf.bprintf buf "    int gid%d = %s %% %d;\n" d l.var grid.(d)
+      Printf.bprintf buf "    int gid%d = %s %% %d;\n" d var grid.(d)
     else if d = 0 then
-      Printf.bprintf buf "    int gid%d = %s / %d;\n" d l.var !stride
+      Printf.bprintf buf "    int gid%d = %s / %d;\n" d var !stride
     else
-      Printf.bprintf buf "    int gid%d = (%s / %d) %% %d;\n" d l.var !stride
+      Printf.bprintf buf "    int gid%d = (%s / %d) %% %d;\n" d var !stride
         grid.(d);
     stride := !stride * grid.(d)
   done
@@ -140,7 +158,7 @@ let kernel d ~grid (k : Kir.t) =
   Printf.bprintf buf "%s %s(%s)\n{\n" d.qualifier k.Kir.kname
     (String.concat d.param_sep params);
   if uses_per_axis d rank then per_axis_ids buf grid
-  else linear_ids buf d.linear grid;
+  else linear_ids buf d.linear grid k;
   List.iter (stmt buf 4) k.Kir.body;
   Stdlib.Buffer.add_string buf "}\n";
   Stdlib.Buffer.contents buf

@@ -16,7 +16,8 @@ type linear_id = {
   suffix : string;  (** literal suffix of the guard bound (["u"]) *)
   var : string;
       (** signed variable the ids decompose; any name other than
-          ["iGID"] is declared as [int(iGID)] after the guard *)
+          ["iGID"] is declared as [int(iGID)] after the guard, renamed
+          [var_N] (the first free [N]) when the kernel binds [var] *)
 }
 
 type dialect = {

@@ -1201,7 +1201,20 @@ let test_metal_emit () =
   Alcotest.(check bool) "guard with unsigned literal" true
     (contains ~needle:(Printf.sprintf "iGID >= %du" (1080 * 720)) src);
   Alcotest.(check bool) "gid decomposition" true
-    (contains ~needle:"% 720" src)
+    (contains ~needle:"% 720" src);
+  (* vadd_2d binds its own [lin]: the linear id must take another name,
+     so MSL sees exactly one declaration of [lin]. *)
+  let count needle =
+    let nl = String.length needle in
+    let rec go i acc =
+      if i + nl > String.length src then acc
+      else go (i + 1) (if String.sub src i nl = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "lin declared once" 1 (count "int lin ");
+  Alcotest.(check bool) "id renamed" true
+    (contains ~needle:"int lin_1 = int(iGID);" src)
 
 (* Grids the CUDA printer cannot map to blockIdx/threadIdx axes (rank
    0 and rank > 3) launch 1-D over the linearised grid with one
