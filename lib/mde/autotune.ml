@@ -20,7 +20,8 @@ let modelled_us ?device (gen : Codegen.generated) =
   let inputs =
     List.map
       (fun (p : Arrayol.Model.port) ->
-        (p.Arrayol.Model.pname, Optimizer.Tuner.synthetic p.Arrayol.Model.pshape))
+        ( p.Arrayol.Model.pname,
+          Optimizer.Tuner.synthetic p.Arrayol.Model.pshape ))
       gen.Codegen.boundary_inputs
   in
   ignore (Exec.run ~label_of:Fun.id ~liveness:false ctx gen ~inputs);
@@ -59,7 +60,11 @@ let route ~device =
         List.map
           (fun kt ->
             let inst = kt.Codegen.instance in
-            { Optimizer.Tuner.name = inst; tiles = true; rewrite = rewrite_task g inst })
+            {
+              Optimizer.Tuner.name = inst;
+              tiles = true;
+              rewrite = rewrite_task g inst;
+            })
           g.Codegen.kernel_tasks);
     shape =
       (fun g ->
@@ -73,10 +78,12 @@ let moves = Optimizer.Tuner.moves (route ~device:Gpu.Device.gtx480)
 
 let tune ?device (gen : Codegen.generated) =
   Obs.Tracer.with_span ~cat:"mde" "mde.autotune" @@ fun () ->
-  (* Cache entries of the default device are keyed "default", the key
-     readers of the tuned-plan cache look up. *)
+  (* A tune without [device] is cached under the device name "default":
+     perfbench/worker.ml looks the tuned path up under that key. *)
   let device_key =
-    match device with Some (d : Gpu.Device.t) -> d.Gpu.Device.name | None -> "default"
+    match device with
+    | Some (d : Gpu.Device.t) -> d.Gpu.Device.name
+    | None -> "default"
   in
   let device = Option.value device ~default:Gpu.Device.gtx480 in
   let st, rules = Optimizer.Tuner.tune (route ~device) ~device:device_key gen in

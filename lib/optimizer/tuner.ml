@@ -10,7 +10,8 @@ type 'p fusion = string * (unit -> ('p * Gpu.Fuse.stats) option)
 type 'p site = {
   name : string;
   tiles : bool;
-  rewrite : (Gpu.Kir.t * int array -> (Gpu.Kir.t * int array) option) -> 'p option;
+  rewrite :
+    (Gpu.Kir.t * int array -> (Gpu.Kir.t * int array) option) -> 'p option;
 }
 
 type ('p, 's) route = {
@@ -65,9 +66,9 @@ let moves r st =
       Search.rule = "fuse!";
       apply =
         (fun () ->
-          let fused = fuse_fixpoint r.fusions p in
-          if (snd fused).Gpu.Fuse.kernels_eliminated = 0 then None
-          else Some (child fused));
+          match fuse_fixpoint r.fusions p with
+          | _, s when s.Gpu.Fuse.kernels_eliminated = 0 -> None
+          | fused -> Some (child fused));
     }
   in
   let fuse_one =
@@ -79,7 +80,8 @@ let moves r st =
   let fission =
     match undo with
     | None -> []
-    | Some prev -> [ { Search.rule = "fission"; apply = (fun () -> Some prev) } ]
+    | Some prev ->
+        [ { Search.rule = "fission"; apply = (fun () -> Some prev) } ]
   in
   let per_site =
     List.concat_map
@@ -89,7 +91,9 @@ let moves r st =
             Search.rule;
             apply =
               (fun () ->
-                Option.map (fun p' -> r.state p' fstats (Some st)) (s.rewrite f));
+                Option.map
+                  (fun p' -> r.state p' fstats (Some st))
+                  (s.rewrite f));
           }
         in
         move ("interchange:" ^ s.name) Rules.interchange
@@ -109,7 +113,8 @@ let tune r ~device p =
   let init = r.state p Gpu.Fuse.no_stats None in
   let rows, cols = r.shape p in
   let key =
-    Cache.key ~pipeline:r.pipeline ~rows ~cols ~device ~digest:(r.fingerprint p)
+    Cache.key ~pipeline:r.pipeline ~rows ~cols ~device
+      ~digest:(r.fingerprint p)
   in
   let program st =
     let p, _, _ = r.view st in

@@ -29,7 +29,9 @@ let strip_labels (p : Plan.t) =
 let modelled_us ?device (p : Plan.t) =
   let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only ?device () in
   let args =
-    List.map (fun (n, shape) -> (n, Optimizer.Tuner.synthetic shape)) p.Plan.params
+    List.map
+      (fun (n, shape) -> (n, Optimizer.Tuner.synthetic shape))
+      p.Plan.params
   in
   let outcome = Exec.run ~host_mode:`Estimate rt p ~args in
   Cuda.Runtime.elapsed_us rt +. outcome.Exec.host_us
