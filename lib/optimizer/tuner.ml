@@ -109,6 +109,8 @@ let moves r st =
   in
   (fuse_all :: fuse_one) @ fission @ per_site
 
+let m_fallbacks = Obs.Metrics.counter "optimizer.replay_fallbacks"
+
 let tune r ~device p =
   let init = r.state p Gpu.Fuse.no_stats None in
   let rows, cols = r.shape p in
@@ -136,7 +138,9 @@ let tune r ~device p =
   in
   (* Replay the memoised path on this caller's own program (which may
      carry different labels); each step re-verifies.  A diverging
-     replay falls back to the program as given. *)
+     replay falls back to the program as given, and is counted. *)
   match Search.replay ~moves:(moves r) init tuned.Cache.rules with
   | Some st -> (st, tuned.Cache.rules)
-  | None -> (init, [])
+  | None ->
+      Obs.Metrics.incr m_fallbacks;
+      (init, [])

@@ -59,4 +59,5 @@ val tune : ('p, 's) route -> device:string -> 'p -> 's * string list
     winner is memoised in {!Cache} under (pipeline, shape, [device],
     fingerprint of [p]); on a miss {!Search.run} finds it.  The path is
     then replayed on [p] itself, re-verifying each step; a diverging
-    replay returns [p]'s own state and an empty path. *)
+    replay returns [p]'s own state and an empty path, and bumps
+    [optimizer.replay_fallbacks]. *)

@@ -6,6 +6,12 @@ type report = {
 
 let optimize prog ~entry =
   let prog = Check.program_exn prog in
+  Names.with_supply
+    (List.concat_map
+       (fun (fd : Ast.fundef) ->
+         List.map snd fd.Ast.params @ Rename.bound_names fd.Ast.body)
+       prog)
+  @@ fun () ->
   let fd = Inline.program prog ~entry in
   let fd = Dce.fundef (Simplify.fundef fd) in
   let before = Wlf.count_withloop_assigns fd in

@@ -12,7 +12,9 @@ type report = {
 
 val optimize : Ast.program -> entry:string -> Ast.fundef * report
 (** Runs {!Check.program_exn} first; raises [Ast.Sac_error] listing
-    every static issue on ill-formed input. *)
+    every static issue on ill-formed input.  Names the passes generate
+    come from a {!Names.with_supply} of this call, so they do not depend
+    on earlier compiles. *)
 
 val optimize_source : string -> entry:string -> Ast.fundef * report
 (** Parse then {!optimize}. *)

@@ -30,6 +30,9 @@ let constant_genarray e =
 
 let plan ?(label_of = Kernelize.sanitize) ?(split_generators = true)
     ?(opt = Optimizer.Mode.default ()) ?device (fd : Sac.Ast.fundef) =
+  Sac.Names.with_supply
+    (List.map snd fd.Sac.Ast.params @ Sac.Rename.bound_names fd.Sac.Ast.body)
+  @@ fun () ->
   let params =
     List.filter_map
       (fun (t, name) ->

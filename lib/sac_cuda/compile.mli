@@ -24,7 +24,9 @@ val plan :
     normalisation (default [true]; the ablation benchmark turns it
     off).  [opt] selects the plan optimisation mode (default
     {!Optimizer.Mode.default}, i.e. the process-wide [--opt] setting);
-    [device] is the cost-model target for [Auto] tuning. *)
+    [device] is the cost-model target for [Auto] tuning.  Names that
+    scalarisation generates come from a {!Sac.Names.with_supply} of this
+    call, numbered above the suffixes [fd] already binds. *)
 
 val plan_of_source :
   ?label_of:(string -> string) ->

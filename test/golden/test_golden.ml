@@ -81,87 +81,87 @@ let expected =
     ("sac horizontal off metal.metal", "790e20b2cb43c7983d1ee6121f57be74");
     ("sac horizontal off metal.host", "59cd2206f1b25eded63f79ada2bffe33");
     ("sac horizontal off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac horizontal-generic off cu", "0493615a654bd57a1be029756b0a1fb8");
-    ("sac horizontal-generic off opencl.cl", "afd35eb05bcd75e1317e3674bbae3dee");
-    ("sac horizontal-generic off opencl.host", "2e212306e6c85c34629f98cf0d726e64");
+    ("sac horizontal-generic off cu", "15aa46586c07819cf1ebaaf82df080c2");
+    ("sac horizontal-generic off opencl.cl", "ba85fea4fb193600f5b24a61fb716e0f");
+    ("sac horizontal-generic off opencl.host", "7ea12de146f851a62169a24e18f2745c");
     ("sac horizontal-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac horizontal-generic off metal.metal", "0a2de98f6990aff8e305c8a66fcb6859");
-    ("sac horizontal-generic off metal.host", "9fc5d51bfa45bd356a7e8b9e4f2d4e30");
+    ("sac horizontal-generic off metal.metal", "87d564faeb5254fb977c79dbd27dc304");
+    ("sac horizontal-generic off metal.host", "1ab7b861794d25f53a0ad524046d3742");
     ("sac horizontal-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac vertical off cu", "160448fc129ffef630bfce9938bc58fc");
-    ("sac vertical off opencl.cl", "aaa70d27c6b879616fe520cb99e5d92d");
-    ("sac vertical off opencl.host", "5a4a6cf75a07ec86895e0e4851695557");
+    ("sac vertical off cu", "4e0aa626b48b9d01c371f4f55f088144");
+    ("sac vertical off opencl.cl", "1d3a5dd2a8d33f7d1e59fc5976e59da2");
+    ("sac vertical off opencl.host", "7894db4098debbf3defb5eb4262909e0");
     ("sac vertical off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac vertical off metal.metal", "65c0e23afbd623dcaa73353acb4f983b");
-    ("sac vertical off metal.host", "3e28e1dc24dee64ba89f5eb08349b6d2");
+    ("sac vertical off metal.metal", "0798e5d7c3a9317b59eccdb19cdfedce");
+    ("sac vertical off metal.host", "c12a205e815305c22158acf6c77e1559");
     ("sac vertical off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac vertical-generic off cu", "290d087b4953fed80b6c1a15ed62a3d6");
-    ("sac vertical-generic off opencl.cl", "58132da49ed4e551ce29320f3dd509da");
-    ("sac vertical-generic off opencl.host", "58910310e89f6e1ddfa05ab84871ddd4");
+    ("sac vertical-generic off cu", "c99df406c6ad3a0d0acaf04a0ed12e5e");
+    ("sac vertical-generic off opencl.cl", "ff17490efac1b9665c59feae407dea86");
+    ("sac vertical-generic off opencl.host", "19d1a392c678745cfbbb62e9de85a9c4");
     ("sac vertical-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac vertical-generic off metal.metal", "28c8f1dcc0fa40ae59225743c378d8e5");
-    ("sac vertical-generic off metal.host", "0eaef2aae3dc372095fdd683796f4cda");
+    ("sac vertical-generic off metal.metal", "59be99ee078194eed0c62021fe3735e5");
+    ("sac vertical-generic off metal.host", "0f329368e1f938231f6ba4e9ee9116cd");
     ("sac vertical-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac downscaler off cu", "a37b2cef392c9b661a0ee888a1a4fa06");
-    ("sac downscaler off opencl.cl", "ca22e202f8351f5705713ec8c9196585");
-    ("sac downscaler off opencl.host", "194e575b4d3669e35b525fc0aba8bd1d");
+    ("sac downscaler off cu", "b9a5a44d0c203034e57f196ff44cbc1d");
+    ("sac downscaler off opencl.cl", "b1ce67f8c5a9f110090517848b4e6051");
+    ("sac downscaler off opencl.host", "7975519389644920120a4467b608f7b6");
     ("sac downscaler off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac downscaler off metal.metal", "2150f2b858021c8a61afa9f0100428a9");
-    ("sac downscaler off metal.host", "badf72eba2781eb5a72a9946572c5bfe");
+    ("sac downscaler off metal.metal", "bbd450d9aad52d06b9df09743c7cf3a1");
+    ("sac downscaler off metal.host", "5344254dc2d7fcb401fbf3938bba9fe3");
     ("sac downscaler off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac downscaler-generic off cu", "67f4dad5b77478cb633dd58962d9bcb2");
-    ("sac downscaler-generic off opencl.cl", "fe919523148674a68dfe2f8b1e080d3b");
-    ("sac downscaler-generic off opencl.host", "23c9ca142792c7434da0c9893e71b27d");
+    ("sac downscaler-generic off cu", "5f24d112fd276b8939668f8b2ea401fc");
+    ("sac downscaler-generic off opencl.cl", "91af099ee83c057fbb5ef83dcf1bef0c");
+    ("sac downscaler-generic off opencl.host", "6d907115cbcb6057fb0f276c0de28a30");
     ("sac downscaler-generic off opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac downscaler-generic off metal.metal", "512d158b9b0d01ffa5d41b9962dcd1e5");
-    ("sac downscaler-generic off metal.host", "453f54d46c727e0123c9a130b22065f9");
+    ("sac downscaler-generic off metal.metal", "461c37712afc68fd864b2cf47400a8c4");
+    ("sac downscaler-generic off metal.host", "e3bc8dc09e92dca647766cd628ad6111");
     ("sac downscaler-generic off metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("mde chain off cl_source", "1f809d83a004ad1f16c45562cce0b6e3");
     ("mde chain off host_source", "ea8cd82f31e5d90e37da74f3ba627f84");
     ("mde chain off makefile", "742a53a570ad969c7373eefbfb5d01c7");
     ("mde chain off cuda kernels", "16f9178c9a86a359698f8b7c422ccd7e");
     ("mde chain off metal_file", "c64c700d70a493f768b42ab127d6eb73");
-    ("sac horizontal fuse cu", "804e996d475e938361d9ea22222eae15");
-    ("sac horizontal fuse opencl.cl", "161a001077923d7d9a94551bf95478f5");
-    ("sac horizontal fuse opencl.host", "df74bfa33465bcc2751f3b60c1169e97");
+    ("sac horizontal fuse cu", "84112b1a7685e6fef851fb00704d11ad");
+    ("sac horizontal fuse opencl.cl", "405e06f9c944b0a185a63d553f60d735");
+    ("sac horizontal fuse opencl.host", "15f4e8fec5f41ffe6b00b698a3d39830");
     ("sac horizontal fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac horizontal fuse metal.metal", "c7bdfa589b2e9ad7b68f6e91844742e2");
-    ("sac horizontal fuse metal.host", "2a612d5553cff7fd488f4b078a9c6856");
+    ("sac horizontal fuse metal.metal", "790e20b2cb43c7983d1ee6121f57be74");
+    ("sac horizontal fuse metal.host", "59cd2206f1b25eded63f79ada2bffe33");
     ("sac horizontal fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac horizontal-generic fuse cu", "76b1a3f3e78a39fced821434f7861f62");
-    ("sac horizontal-generic fuse opencl.cl", "5732d87dfe416152d7856ba66ab63cdf");
-    ("sac horizontal-generic fuse opencl.host", "fe8664cd7fd651bff8853ae1e4330abb");
+    ("sac horizontal-generic fuse cu", "15aa46586c07819cf1ebaaf82df080c2");
+    ("sac horizontal-generic fuse opencl.cl", "ba85fea4fb193600f5b24a61fb716e0f");
+    ("sac horizontal-generic fuse opencl.host", "7ea12de146f851a62169a24e18f2745c");
     ("sac horizontal-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac horizontal-generic fuse metal.metal", "0c8da0452ae84347050f04ec1c3e74b4");
-    ("sac horizontal-generic fuse metal.host", "727528bde58cc48777c1e1620d028efa");
+    ("sac horizontal-generic fuse metal.metal", "87d564faeb5254fb977c79dbd27dc304");
+    ("sac horizontal-generic fuse metal.host", "1ab7b861794d25f53a0ad524046d3742");
     ("sac horizontal-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac vertical fuse cu", "80865decb0ab610c9109f242c15f5d59");
-    ("sac vertical fuse opencl.cl", "fe7ece51c6a181f8b920f82f89185944");
-    ("sac vertical fuse opencl.host", "309a688390995f379f1276dea8085d97");
+    ("sac vertical fuse cu", "4e0aa626b48b9d01c371f4f55f088144");
+    ("sac vertical fuse opencl.cl", "1d3a5dd2a8d33f7d1e59fc5976e59da2");
+    ("sac vertical fuse opencl.host", "7894db4098debbf3defb5eb4262909e0");
     ("sac vertical fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac vertical fuse metal.metal", "101fac26aaf8c308cfd0e75da97176ee");
-    ("sac vertical fuse metal.host", "12866a7c975357aa4626439b39a4f64b");
+    ("sac vertical fuse metal.metal", "0798e5d7c3a9317b59eccdb19cdfedce");
+    ("sac vertical fuse metal.host", "c12a205e815305c22158acf6c77e1559");
     ("sac vertical fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac vertical-generic fuse cu", "1d24a1e2176acbbdd481fdbc8251cb34");
-    ("sac vertical-generic fuse opencl.cl", "5a2d132aeaea02e14a57a72b16934813");
-    ("sac vertical-generic fuse opencl.host", "f6efb9f5d0cdf8d32d7ada3b9576d8a0");
+    ("sac vertical-generic fuse cu", "c99df406c6ad3a0d0acaf04a0ed12e5e");
+    ("sac vertical-generic fuse opencl.cl", "ff17490efac1b9665c59feae407dea86");
+    ("sac vertical-generic fuse opencl.host", "19d1a392c678745cfbbb62e9de85a9c4");
     ("sac vertical-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac vertical-generic fuse metal.metal", "e1e944543dbf75db7045e8ef9f35e88b");
-    ("sac vertical-generic fuse metal.host", "01962b0e04e0aa45631475032da5c32c");
+    ("sac vertical-generic fuse metal.metal", "59be99ee078194eed0c62021fe3735e5");
+    ("sac vertical-generic fuse metal.host", "0f329368e1f938231f6ba4e9ee9116cd");
     ("sac vertical-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac downscaler fuse cu", "4c1956547ba61cef8ff7343c9529dd2e");
-    ("sac downscaler fuse opencl.cl", "1708c342a1697b818f7f72c4dfa3fd77");
-    ("sac downscaler fuse opencl.host", "d233bac63f1998ec87c27398f9466218");
+    ("sac downscaler fuse cu", "91dfeb677ea332a32e26e27a873ed1c0");
+    ("sac downscaler fuse opencl.cl", "9254314033c97230bbbef2618dbc4e80");
+    ("sac downscaler fuse opencl.host", "a01f8866d1fbaf8e82b4b2deabbff5a4");
     ("sac downscaler fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac downscaler fuse metal.metal", "0238efefe06ed66489a2c4057aa4630e");
-    ("sac downscaler fuse metal.host", "855bf7c7e5e08eef096778a3e50a84ce");
+    ("sac downscaler fuse metal.metal", "821342e402909a3f74ea4534ea1a99a1");
+    ("sac downscaler fuse metal.host", "9a5cee4dd25d0d8356a32711e10ae755");
     ("sac downscaler fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
-    ("sac downscaler-generic fuse cu", "9f5c4202ad4354a54a17d3d38cd5bfad");
-    ("sac downscaler-generic fuse opencl.cl", "16980c2aedc7a0001f82f3d2f43ff38f");
-    ("sac downscaler-generic fuse opencl.host", "cc81bdbafcc3373c78e9545547f58e56");
+    ("sac downscaler-generic fuse cu", "5f24d112fd276b8939668f8b2ea401fc");
+    ("sac downscaler-generic fuse opencl.cl", "91af099ee83c057fbb5ef83dcf1bef0c");
+    ("sac downscaler-generic fuse opencl.host", "6d907115cbcb6057fb0f276c0de28a30");
     ("sac downscaler-generic fuse opencl.makefile", "b08a9db0ea91fd656ba9c8f2a6b45a0b");
-    ("sac downscaler-generic fuse metal.metal", "1c8746dc7c4ce09624bf481f9a69ff07");
-    ("sac downscaler-generic fuse metal.host", "c09882be9386e2c9770fa8978ca6a0de");
+    ("sac downscaler-generic fuse metal.metal", "461c37712afc68fd864b2cf47400a8c4");
+    ("sac downscaler-generic fuse metal.host", "e3bc8dc09e92dca647766cd628ad6111");
     ("sac downscaler-generic fuse metal.makefile", "fd63a64ab1531ed1f97e0691db7a1280");
     ("mde chain fuse cl_source", "2da20a135730b3f201e9965b7df21029");
     ("mde chain fuse host_source", "bdb61800a24b5fe865758081c446d9b2");

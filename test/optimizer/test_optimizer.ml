@@ -168,9 +168,10 @@ let test_search_dedups_cycles () =
 
 let test_canonical_digest () =
   let d = Optimizer.Cache.canonical_digest in
-  Alcotest.(check string) "gensym counters normalised"
-    (d [ "x$12"; "x_12"; "y$13" ])
-    (d [ "x$907"; "x_907"; "y$1021" ]);
+  let x = "x$12" in
+  Alcotest.(check string) "physical sharing ignored"
+    (d [ x; x ])
+    (d [ x; String.concat "" [ "x$"; "12" ] ]);
   Alcotest.(check bool) "cross-references preserved" true
     (d [ "x$12"; "y$13"; "x$12" ] <> d [ "x$12"; "y$13"; "y$13" ]);
   Alcotest.(check bool) "structure still distinguishes" true
@@ -195,6 +196,43 @@ let test_cache_memoises () =
   Alcotest.(check int) "one entry" 1 (Optimizer.Cache.size ());
   Optimizer.Cache.clear ();
   Alcotest.(check int) "cleared" 0 (Optimizer.Cache.size ())
+
+let fallbacks () =
+  Option.value ~default:0 (Obs.Metrics.find "optimizer.replay_fallbacks")
+
+(* A route over integers with no moves of its own: any site-naming rule
+   path is absent from it. *)
+let toy_route =
+  {
+    Optimizer.Tuner.pipeline = "toy";
+    state = (fun n _ _ -> n);
+    view = (fun n -> (n, Gpu.Fuse.no_stats, None));
+    fingerprint = string_of_int;
+    cost = float_of_int;
+    fusions = (fun _ -> []);
+    sites = (fun _ -> []);
+    shape = (fun _ -> (1, 1));
+  }
+
+let test_replay_fallback_counted () =
+  Optimizer.Cache.clear ();
+  let key =
+    Optimizer.Cache.key ~pipeline:"toy" ~rows:1 ~cols:1 ~device:"d"
+      ~digest:"7"
+  in
+  ignore
+    (Optimizer.Cache.find_or_tune ~key (fun () ->
+         {
+           Optimizer.Cache.rules = [ "interchange:absent" ];
+           tuned_us = 1.0;
+           base_us = 7.0;
+         }));
+  let before = fallbacks () in
+  let st, rules = Optimizer.Tuner.tune toy_route ~device:"d" 7 in
+  Alcotest.(check int) "program as given" 7 st;
+  Alcotest.(check (list string)) "empty path" [] rules;
+  Alcotest.(check int) "one fallback counted" (before + 1) (fallbacks ());
+  Optimizer.Cache.clear ()
 
 (* ---------- SAC -> CUDA autotuning ---------- *)
 
@@ -234,17 +272,53 @@ let test_sac_auto_bit_identical () =
   Alcotest.(check bool) "tuned output = reference" true
     (Ndarray.Tensor.equal Int.equal outcome.Sac_cuda.Exec.result reference)
 
+(* What [--opt auto] runs on the 72x64 non-generic downscaler: a fresh
+   compile, tuned through the plan cache.  At this shape the winning
+   path interchanges a with-loop by name, so it replays only if this
+   compile names that with-loop as the tuned one did. *)
+let auto_72x64 () =
+  let off, _ =
+    Sac_cuda.Compile.plan_of_source ~opt:Optimizer.Mode.Off
+      (Sac.Programs.downscaler ~generic:false ~rows:72 ~cols:64)
+      ~entry:"main"
+  in
+  let tuned, _, rules = Sac_cuda.Autotune.tune off in
+  (tuned, rules, Printf.sprintf "%h" (Sac_cuda.Autotune.modelled_us tuned))
+
+let names_a_site rules = List.exists (fun r -> String.contains r ':') rules
+
 let test_sac_tune_hits_cache () =
   let hits () =
     Option.value ~default:0 (Obs.Metrics.find "optimizer.plan_cache_hits")
   in
-  let _, _, first = Sac_cuda.Autotune.tune (sac_plan ()) in
+  let _, first, _ = auto_72x64 () in
   let before = hits () in
-  (* A *fresh* compile of the same source: gensym counters moved on,
-     but the canonical digest still finds the tuned entry. *)
-  let _, _, second = Sac_cuda.Autotune.tune (sac_plan ()) in
+  let _, second, _ = auto_72x64 () in
   Alcotest.(check int) "second tune is a cache hit" (before + 1) (hits ());
+  Alcotest.(check bool) "path names a site" true (names_a_site first);
   Alcotest.(check (list string)) "same rule path replayed" first second
+
+(* Generated names are a function of the compile, so neither an earlier
+   compile in the process nor a concurrent one on another domain moves
+   them: every compile gets the plan the first one was tuned to. *)
+let test_sac_names_per_compile () =
+  Optimizer.Cache.clear ();
+  let before = fallbacks () in
+  let first = auto_72x64 () in
+  let second = auto_72x64 () in
+  let concurrent =
+    List.map Domain.join [ Domain.spawn auto_72x64; Domain.spawn auto_72x64 ]
+  in
+  let tuned, rules, us = first in
+  Alcotest.(check bool) "path names a site" true (names_a_site rules);
+  List.iteri
+    (fun i (tuned', rules', us') ->
+      let what = if i = 0 then "second compile" else Printf.sprintf "domain %d" i in
+      Alcotest.(check bool) (what ^ ": same plan") true (tuned = tuned');
+      Alcotest.(check (list string)) (what ^ ": same rule path") rules rules';
+      Alcotest.(check string) (what ^ ": same modelled us") us us')
+    (second :: concurrent);
+  Alcotest.(check int) "no replay fell back" before (fallbacks ())
 
 let test_sac_auto_deterministic_across_domains () =
   let tune_fresh () =
@@ -386,6 +460,8 @@ let () =
           Alcotest.test_case "canonical digest" `Quick test_canonical_digest;
           Alcotest.test_case "find_or_tune memoises" `Quick
             test_cache_memoises;
+          Alcotest.test_case "replay fallback counted" `Quick
+            test_replay_fallback_counted;
         ] );
       ( "sac",
         [
@@ -395,6 +471,8 @@ let () =
             test_sac_auto_bit_identical;
           Alcotest.test_case "re-tune hits the plan cache" `Quick
             test_sac_tune_hits_cache;
+          Alcotest.test_case "same plan across compiles and domains" `Quick
+            test_sac_names_per_compile;
           Alcotest.test_case "deterministic across --domains" `Quick
             test_sac_auto_deterministic_across_domains;
         ] );
