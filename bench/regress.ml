@@ -17,9 +17,8 @@
      active;
    - acceptance booleans (bit_identical, p99_bounded) must never go
      from true to false;
-   - tuned rule paths are exact once their gensym suffixes ("$N",
-     "_N") are renumbered by first occurrence on each side, so a
-     compiler counter shift is no change but a different decision is;
+   - tuned rule paths are exact: generated names are numbered per
+     compile, so any change of a path is a different decision;
    - environment and load-shape fields (date, domains, reject/drop
      counts, burn rates) are ignored.
 
@@ -132,14 +131,13 @@ type cls =
       (** one-sided: current may not exceed base * factor + floor *)
   | SignOnly  (** base > 0 requires current > 0 *)
   | BoolNoRegress  (** true may not become false *)
-  | Rules  (** exact after renumbering gensym suffixes *)
   | Ignore
 
 let classify path =
   let suf s = String.ends_with ~suffix:s path in
   let pre s = String.starts_with ~prefix:s path in
   if path = "date" || path = "domains" then Ignore
-  else if suf ".rules" then Rules
+  else if suf ".rules" then Exact
   else if suf ".buckets" then Ignore
   else if path = "smoke" || path = "opt" || pre "scale." then Exact
   else if pre "sections[" then
@@ -192,46 +190,6 @@ let classify path =
 
 let pp_leaf = Obs.Json.render
 
-(* A rule path with compiler-generated suffixes ("output$14269",
-   "output_14269") renumbered by first occurrence, so two runs whose
-   gensym counters differ compare equal when they took the same
-   rewrites. *)
-let renumber_rules = function
-  | Obs.Json.Arr rules ->
-      let ids = Hashtbl.create 8 in
-      let canon s =
-        let n = String.length s in
-        let b = Buffer.create n in
-        let i = ref 0 in
-        while !i < n do
-          let c = s.[!i] in
-          Buffer.add_char b c;
-          let j = ref (!i + 1) in
-          if c = '$' || c = '_' then
-            while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-          if !j > !i + 1 then begin
-            let digits = String.sub s (!i + 1) (!j - !i - 1) in
-            let id =
-              match Hashtbl.find_opt ids digits with
-              | Some id -> id
-              | None ->
-                  let id = Hashtbl.length ids in
-                  Hashtbl.add ids digits id;
-                  id
-            in
-            Buffer.add_string b (string_of_int id);
-            i := !j
-          end
-          else incr i
-        done;
-        Buffer.contents b
-      in
-      Some
-        (List.map
-           (function Obs.Json.Str s -> Obs.Json.Str (canon s) | j -> j)
-           rules)
-  | _ -> None
-
 let check path base cur =
   let mismatch what =
     Some
@@ -241,11 +199,6 @@ let check path base cur =
   match (classify path, base, cur) with
   | Ignore, _, _ -> None
   | Exact, b, c -> if b = c then None else mismatch "exact value changed"
-  | Rules, b, c -> (
-      match (renumber_rules b, renumber_rules c) with
-      | Some b, Some c when b = c -> None
-      | Some _, Some _ -> mismatch "tuned rule path changed"
-      | _ -> mismatch "expected a list of rules")
   | BoolNoRegress, Obs.Json.Bool true, Obs.Json.Bool true -> None
   | BoolNoRegress, Obs.Json.Bool true, _ -> mismatch "acceptance flag lost"
   | BoolNoRegress, _, _ -> None (* false baseline: nothing to protect *)

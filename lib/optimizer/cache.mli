@@ -28,10 +28,11 @@ val digest : 'a -> string
     key). *)
 
 val canonical_digest : 'a -> string
-(** Like {!digest}, but with compiler-generated name counters
-    (["x$123"] / ["x_123"] suffixes) renumbered by first occurrence
-    before hashing, so two separate compilations of the same source —
-    whose gensym counters differ — still share a digest. *)
+(** Like {!digest}, but blind to physical sharing: two structurally
+    equal values digest alike however their parts are shared.  The SAC
+    route's fingerprint; its generated names are numbered per compile
+    ([Sac.Names]), so two compiles of one source share a digest
+    without any renaming. *)
 
 val find_or_tune : key:string -> (unit -> tuned) -> tuned
 (** Return the memoised result for [key], running the (possibly slow)
