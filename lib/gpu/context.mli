@@ -78,8 +78,8 @@ val record_d2d :
     time, counted under [gpu.p2p_copies]/[gpu.p2p_bytes].  The
     receiving device pays for the migration, which is what the
     scheduler charges when it moves work.  Raises [Invalid_argument]
-    when [src] is this context's own ordinal.  Used by
-    {!Cluster.transfer}; the data blit itself happens there. *)
+    when [src] is this context's own ordinal.  Only the accounting: the
+    caller moves the data. *)
 
 val launch :
   ?label:string ->

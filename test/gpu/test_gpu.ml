@@ -1755,7 +1755,7 @@ let prop_compile_matches_interpretation =
       in
       got = expected)
 
-(* ---------- Topology, scheduler and cluster ---------- *)
+(* ---------- Topology and scheduler ---------- *)
 
 let raises_invalid f =
   try
@@ -1976,41 +1976,33 @@ let test_sched_stream_pinning_and_migration () =
   Alcotest.(check bool) "lands on the other device" true (o2 <> o0);
   Alcotest.(check int) "migration counted" 1 (Sched.migrations s)
 
-let test_cluster_transfer_accounting () =
-  let cl = Cluster.uniform ~devices:2 Device.gtx480 in
-  let c0 = Cluster.context cl 0 and c1 = Cluster.context cl 1 in
+(* A migration between two devices of one topology is charged to the
+   receiver: one d2d event carrying the payload, none on the sender. *)
+let test_d2d_accounting () =
+  let topo = Topology.uniform ~devices:2 Device.gtx480 in
+  let c0 = Context.create ~ordinal:0 ~topology:topo Device.gtx480 in
+  let c1 = Context.create ~ordinal:1 ~topology:topo Device.gtx480 in
   let n = 16 in
-  let data = Array.init n (fun i -> (i * 13) mod 7) in
-  let buf = Context.alloc c0 ~name:"x" n in
-  Context.h2d c0 buf data;
-  let moved = Cluster.transfer cl ~src:0 ~dst:1 buf in
-  let host = Array.make n 0 in
-  Context.d2h c1 moved host;
-  Alcotest.(check (array int)) "contents survive the migration" data host;
-  let d2d tl =
+  Context.record_d2d c1 ~detail:"x" ~src:0 ~bytes:(4 * n);
+  let d2d events =
     List.filter
       (fun (e : Timeline.event) -> e.Timeline.kind = Timeline.Memcpy_d2d)
-      (Timeline.events tl)
+      events
   in
-  let recv = d2d (Context.timeline c1) in
+  let recv = d2d (Timeline.events (Context.timeline c1)) in
   Alcotest.(check int) "one d2d event, on the receiver" 1 (List.length recv);
   Alcotest.(check int) "no d2d on the sender" 0
-    (List.length (d2d (Context.timeline c0)));
+    (List.length (d2d (Timeline.events (Context.timeline c0))));
   Alcotest.(check int) "event carries the payload bytes" (n * 4)
     (List.hd recv).Timeline.bytes;
-  (* Same-device transfer is the identity and records nothing. *)
-  let same = Cluster.transfer cl ~src:1 ~dst:1 moved in
-  Alcotest.(check bool) "src = dst returns the buffer" true (same == moved);
-  Alcotest.(check int) "and records no event" 1
-    (List.length (d2d (Context.timeline c1)));
-  (* The merged timeline sees every device's events in ordinal order. *)
-  let merged = Timeline.events (Cluster.merged_timeline cl) in
+  Alcotest.check_raises "same device refused"
+    (Invalid_argument "Context.record_d2d: same device") (fun () ->
+      Context.record_d2d c1 ~detail:"x" ~src:1 ~bytes:4);
+  (* A merged timeline sees every device's events. *)
+  let merged = Timeline.create () in
+  List.iter (fun c -> Timeline.append merged (Context.timeline c)) [ c0; c1 ];
   Alcotest.(check int) "merged timeline carries the d2d" 1
-    (List.length
-       (List.filter
-          (fun (e : Timeline.event) ->
-            e.Timeline.kind = Timeline.Memcpy_d2d)
-          merged))
+    (List.length (d2d (Timeline.events merged)))
 
 let metric name = Option.value ~default:0 (Obs.Metrics.find name)
 
@@ -2186,6 +2178,9 @@ let () =
           Alcotest.test_case "peer vs two-hop" `Quick
             test_topology_peer_vs_two_hop;
           Alcotest.test_case "invalid endpoints" `Quick test_topology_invalid;
+          Alcotest.test_case "d2d accounting" `Quick test_d2d_accounting;
+          Alcotest.test_case "per-device metrics isolated" `Quick
+            test_per_device_metrics_isolated;
         ] );
       ( "device",
         [
@@ -2204,13 +2199,6 @@ let () =
             test_sched_spreads_independent_work;
           Alcotest.test_case "stream pinning and migration" `Quick
             test_sched_stream_pinning_and_migration;
-        ] );
-      ( "cluster",
-        [
-          Alcotest.test_case "transfer accounting" `Quick
-            test_cluster_transfer_accounting;
-          Alcotest.test_case "per-device metrics isolated" `Quick
-            test_per_device_metrics_isolated;
         ] );
       ("properties", props);
     ]

@@ -172,39 +172,6 @@ let test_max_abs_diff () =
     (let d = Frame.max_abs_diff a b in
      d >= 1 && d <= 3)
 
-(* ---------- Colorspace ---------- *)
-
-let test_colorspace_known_values () =
-  (* Black, white and the primaries. *)
-  Alcotest.(check int) "luma of black" 0 (Colorspace.y_of_rgb ~r:0 ~g:0 ~b:0);
-  Alcotest.(check int) "luma of white" 255
-    (Colorspace.y_of_rgb ~r:255 ~g:255 ~b:255);
-  Alcotest.(check int) "luma of pure green is the largest primary" 150
-    (Colorspace.y_of_rgb ~r:0 ~g:255 ~b:0);
-  Alcotest.(check int) "luma of pure red" 76
-    (Colorspace.y_of_rgb ~r:255 ~g:0 ~b:0)
-
-let test_colorspace_grey_preserved () =
-  (* Grey pixels have Cb = Cr = 128 and Y = value. *)
-  let grey = Frame.init small (fun _ _ -> 100) in
-  let ycc = Colorspace.rgb_to_ycbcr grey in
-  Alcotest.(check int) "Y" 100 (Tensor.get (Frame.plane ycc Frame.R) [| 0; 0 |]);
-  Alcotest.(check int) "Cb" 128 (Tensor.get (Frame.plane ycc Frame.G) [| 0; 0 |]);
-  Alcotest.(check int) "Cr" 128 (Tensor.get (Frame.plane ycc Frame.B) [| 0; 0 |])
-
-let test_colorspace_roundtrip () =
-  let f = Framegen.frame small 9 in
-  let back = Colorspace.ycbcr_to_rgb (Colorspace.rgb_to_ycbcr f) in
-  Alcotest.(check bool) "roundtrip within +/-2 per component" true
-    (Frame.max_abs_diff f back <= 2)
-
-let prop_colorspace_roundtrip =
-  QCheck.Test.make ~name:"rgb -> ycbcr -> rgb is near-exact" ~count:30
-    (QCheck.int_range 0 1000) (fun n ->
-      let f = Framegen.frame small n in
-      Frame.max_abs_diff f (Colorspace.ycbcr_to_rgb (Colorspace.rgb_to_ycbcr f))
-      <= 2)
-
 (* ---------- Properties ---------- *)
 
 let arb_frame_no = QCheck.int_range 0 1000
@@ -262,7 +229,6 @@ let props =
       prop_downscale_bounds;
       prop_horizontal_translation_rows;
       prop_tiler_pipeline_equivalence;
-      prop_colorspace_roundtrip;
     ]
 
 let () =
@@ -296,13 +262,6 @@ let () =
         [
           Alcotest.test_case "ppm roundtrip" `Quick test_ppm_roundtrip;
           Alcotest.test_case "ppm header" `Quick test_ppm_header;
-        ] );
-      ( "colorspace",
-        [
-          Alcotest.test_case "known values" `Quick test_colorspace_known_values;
-          Alcotest.test_case "grey preserved" `Quick
-            test_colorspace_grey_preserved;
-          Alcotest.test_case "roundtrip" `Quick test_colorspace_roundtrip;
         ] );
       ( "quality",
         [
