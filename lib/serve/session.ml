@@ -38,11 +38,12 @@ let pipeline_name t =
 (* Process-wide plan cache                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The lock covers only the cache table: the optimisation mode travels
-   in the key and is passed to the compilers as an argument, so
-   concurrent compiles with different modes need no global switch (and
-   the compile itself runs without excluding other sessions'
-   lookups beyond the table access below). *)
+(* The lock covers the lookup and, on a miss, the compile itself:
+   sessions created at once with equal keys compile once, and every
+   other create, hit or miss, waits for a compile in progress.  The
+   optimisation mode travels in the key and is passed to the compilers
+   as an argument, so compiles with different modes need no global
+   switch. *)
 let cache_lock = Mutex.create ()
 
 let cache : (key, runner) Hashtbl.t = Hashtbl.create 8

@@ -27,7 +27,10 @@ val create :
     plan for [fmt]-sized frames.  [opt] selects this stream's plan
     optimisation mode (default: the process-wide
     {!Optimizer.Mode.default} at call time); it is threaded to the
-    compiler as an argument, never through global state.  Raises
+    compiler as an argument, never through global state.  A miss
+    compiles while holding the process-wide cache lock, so concurrent
+    creates with equal keys compile once, and any create waits for a
+    compile in progress.  Raises
     [Invalid_argument] when [fmt] is not downscalable (rows not a
     multiple of 9 or cols not a multiple of 8). *)
 

@@ -322,6 +322,24 @@ let test_session_cache_shared () =
   Alcotest.(check bool) "pipelines never share a key" false
     (Session.key s1 = Session.key s3)
 
+(* Two domains create sessions of one new key at the same moment: the
+   compile runs under the cache lock, so it runs once. *)
+let test_session_concurrent_create_compiles_once () =
+  let fmt = { Video.Format.name = "race"; rows = 45; cols = 40 } in
+  let misses = metric "serve.plan_cache_misses" in
+  let size = Session.cache_size () in
+  let ready = Atomic.make 0 in
+  let create id () =
+    Atomic.incr ready;
+    spin_until (fun () -> Atomic.get ready = 2);
+    Session.create ~opt:Optimizer.Mode.Off ~id ~pipeline:Session.Sac fmt
+  in
+  let a = Domain.spawn (create 30) and b = Domain.spawn (create 31) in
+  let a = Domain.join a and b = Domain.join b in
+  Alcotest.(check int) "one miss" (misses + 1) (metric "serve.plan_cache_misses");
+  Alcotest.(check int) "one new plan" (size + 1) (Session.cache_size ());
+  Alcotest.(check bool) "equal keys" true (Session.key a = Session.key b)
+
 let test_session_rejects_bad_shape () =
   Alcotest.(check bool) "rows not multiple of 9 rejected" true
     (try
@@ -697,6 +715,8 @@ let () =
         [
           Alcotest.test_case "plan cache shared" `Quick
             test_session_cache_shared;
+          Alcotest.test_case "concurrent create compiles once" `Quick
+            test_session_concurrent_create_compiles_once;
           Alcotest.test_case "bad shape rejected" `Quick
             test_session_rejects_bad_shape;
           Alcotest.test_case "bit-exact" `Quick test_session_bit_exact;
