@@ -22,6 +22,7 @@ let suffix name =
   | None -> 0
 
 let with_supply names f =
+  let start = List.fold_left (fun m n -> max m (suffix n)) 0 names in
   let saved = Domain.DLS.get supply in
-  Domain.DLS.set supply (ref (List.fold_left (fun m n -> max m (suffix n)) 0 names));
+  Domain.DLS.set supply (ref start);
   Fun.protect ~finally:(fun () -> Domain.DLS.set supply saved) f

@@ -313,7 +313,9 @@ let test_sac_names_per_compile () =
   Alcotest.(check bool) "path names a site" true (names_a_site rules);
   List.iteri
     (fun i (tuned', rules', us') ->
-      let what = if i = 0 then "second compile" else Printf.sprintf "domain %d" i in
+      let what =
+        if i = 0 then "second compile" else Printf.sprintf "domain %d" i
+      in
       Alcotest.(check bool) (what ^ ": same plan") true (tuned = tuned');
       Alcotest.(check (list string)) (what ^ ": same rule path") rules rules';
       Alcotest.(check string) (what ^ ": same modelled us") us us')

@@ -336,7 +336,8 @@ let test_session_concurrent_create_compiles_once () =
   in
   let a = Domain.spawn (create 30) and b = Domain.spawn (create 31) in
   let a = Domain.join a and b = Domain.join b in
-  Alcotest.(check int) "one miss" (misses + 1) (metric "serve.plan_cache_misses");
+  Alcotest.(check int) "one miss" (misses + 1)
+    (metric "serve.plan_cache_misses");
   Alcotest.(check int) "one new plan" (size + 1) (Session.cache_size ());
   Alcotest.(check bool) "equal keys" true (Session.key a = Session.key b)
 
